@@ -50,7 +50,7 @@ struct GilbertElliott {
 /// OutageOnsetDeliversInFlightPackets): an outage downs the *interface*,
 /// not the wire.  Only packets offered at transmit() while the outage is
 /// active are discarded; packets already queued, serializing, or in the
-/// net::PacketRing propagation pipe when the outage begins are delivered
+/// net::PacketPipe propagation pipe when the outage begins are delivered
 /// normally — matching a router interface going admin-down while photons
 /// already on the fiber still arrive.  A model that also kills in-flight
 /// packets can be composed by pairing the outage with a loss window, but

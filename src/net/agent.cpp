@@ -16,18 +16,8 @@ void SendPacer::send(const Packet& p) {
   const sim::SimTime depart_at = std::max(
       sim_.now() + rng_.uniform(0.0, max_overhead_), last_departure_);
   last_departure_ = depart_at;
-  pending_.push_back(p);
-  auto fire = [this] { depart(); };
-  static_assert(sim::SmallCallback::fits_inline<decltype(fire)>(),
-                "pacer departure events must use the inline callback path");
-  sim_.at(depart_at, std::move(fire));
+  pending_.push(p, depart_at,
+                [this](const Packet& q) { network_.inject(q); });
 }
-
-void SendPacer::depart() {
-  const Packet p = pending_.pop_front();
-  inject(p);
-}
-
-void SendPacer::inject(const Packet& p) { network_.inject(p); }
 
 }  // namespace rlacast::net

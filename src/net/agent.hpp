@@ -30,11 +30,10 @@ class Agent {
 /// With max_overhead > 0 each packet waits Uniform(0, max_overhead) of
 /// "processing time"; departures remain in FIFO order.
 ///
-/// Pending packets wait in a ring owned by the pacer; each departure event
-/// is a thin callback that pops the ring (no Packet captured in the
-/// closure, no allocation on the send path).  Departure times are
-/// monotonic by construction and the scheduler is FIFO among equal
-/// timestamps, so pops always match the packet their event was armed for.
+/// Pending packets wait in a net::PacketPipe owned by the pacer: departure
+/// times are monotone by construction, so the pipe keeps one armed event —
+/// for the next departure — however deep the burst (no Packet captured in
+/// a closure, no allocation on the send path).
 class SendPacer {
  public:
   SendPacer(sim::Simulator& sim, Network& network, sim::Rng rng,
@@ -42,7 +41,8 @@ class SendPacer {
       : sim_(sim),
         network_(network),
         rng_(std::move(rng)),
-        max_overhead_(max_overhead) {}
+        max_overhead_(max_overhead),
+        pending_(sim.scheduler()) {}
 
   void set_max_overhead(sim::SimTime v) { max_overhead_ = v; }
   sim::SimTime max_overhead() const { return max_overhead_; }
@@ -51,15 +51,12 @@ class SendPacer {
   void send(const Packet& p);
 
  private:
-  void inject(const Packet& p);
-  void depart();
-
   sim::Simulator& sim_;
   Network& network_;
   sim::Rng rng_;
   sim::SimTime max_overhead_;
   sim::SimTime last_departure_ = 0.0;
-  PacketRing pending_;
+  PacketPipe pending_;
 };
 
 }  // namespace rlacast::net

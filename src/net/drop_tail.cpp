@@ -20,7 +20,8 @@ bool DropTailQueue::enqueue(const Packet& p, sim::SimTime now) {
 
 std::optional<Packet> DropTailQueue::dequeue(sim::SimTime /*now*/) {
   if (q_.empty()) return std::nullopt;
-  Packet p = q_.pop_front();
+  Packet p = q_.front();
+  q_.pop_front();
   bytes_ -= p.size_bytes;
   note_dequeue();
   return p;

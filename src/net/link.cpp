@@ -17,7 +17,8 @@ Link::Link(sim::Simulator& sim, Network& network, NodeId from, NodeId to,
       to_(to),
       bandwidth_bps_(bandwidth_bps),
       delay_(delay),
-      queue_(std::move(queue)) {
+      queue_(std::move(queue)),
+      pipe_(sim.scheduler()) {
   if (replay::RunObserver* obs = sim_.observer()) {
     const std::string id =
         "link-" + std::to_string(from_) + "-" + std::to_string(to_);
@@ -77,24 +78,12 @@ void Link::pump() {
 
 void Link::on_serialized() {
   // Serialization end: free the transmitter, launch the propagation leg,
-  // and serve the next queued packet.
+  // and serve the next queued packet.  A fault hook may corrupt (lose),
+  // duplicate, or jitter the serialized packet on the wire; queue dynamics
+  // are untouched.
   busy_ = false;
-  if (fault_ == nullptr) {
-    ++delivered_;
-    bytes_delivered_ += static_cast<std::uint64_t>(tx_pkt_.size_bytes);
-    pipe_.push_back(std::move(tx_pkt_));
-    inflight_hiwater_ = std::max(inflight_hiwater_, in_flight());
-    auto arrive = [this] { on_propagated(); };
-    static_assert(sim::SmallCallback::fits_inline<decltype(arrive)>(),
-                  "link pipeline events must use the inline callback path");
-    sim_.after(delay_, std::move(arrive));
-    pump();
-    return;
-  }
-
-  // Faulted wire: the serialized packet may be lost, duplicated, or jittered
-  // on its propagation leg.  Queue dynamics above are untouched.
-  const LinkFaultHook::WireVerdict v = fault_->wire(tx_pkt_, sim_.now());
+  LinkFaultHook::WireVerdict v;
+  if (fault_ != nullptr) v = fault_->wire(tx_pkt_, sim_.now());
   if (v.lost) {
     ++fault_drops_;
     ++sim_.scheduler().counters_mut().fault_drops;
@@ -103,31 +92,22 @@ void Link::on_serialized() {
   }
   ++delivered_;
   bytes_delivered_ += static_cast<std::uint64_t>(tx_pkt_.size_bytes);
-  // The pipe pops FIFO, so a jittered arrival must never overtake an earlier
-  // one: clamp each arrival to be monotone in scheduling order.
+  // The pipe pops FIFO, so an arrival must never overtake an earlier one —
+  // a jittered one, possibly from a hook since removed: clamp every arrival
+  // to be monotone in scheduling order.
   const sim::SimTime jitter = v.extra_delay > 0.0 ? v.extra_delay : 0.0;
-  sim::SimTime arrive_at = sim_.now() + delay_ + jitter;
-  if (arrive_at < last_arrival_) arrive_at = last_arrival_;
+  const sim::SimTime arrive_at =
+      std::max(sim_.now() + delay_ + jitter, last_arrival_);
   last_arrival_ = arrive_at;
-  auto arrive = [this] { on_propagated(); };
-  static_assert(sim::SmallCallback::fits_inline<decltype(arrive)>(),
-                "link pipeline events must use the inline callback path");
+  const auto deliver = [this](const Packet& p) { network_.deliver(to_, p); };
   if (v.duplicated) {
     ++fault_duplicates_;
     ++sim_.scheduler().counters_mut().fault_duplicates;
-    pipe_.push_back(tx_pkt_);  // the extra copy; original follows below
-    sim_.at(arrive_at, arrive);
+    pipe_.push(tx_pkt_, arrive_at, deliver);  // the extra copy goes first
   }
-  pipe_.push_back(std::move(tx_pkt_));
+  pipe_.push(tx_pkt_, arrive_at, deliver);
   inflight_hiwater_ = std::max(inflight_hiwater_, in_flight());
-  sim_.at(arrive_at, std::move(arrive));
   pump();
-}
-
-void Link::on_propagated() {
-  // Pop before delivering: delivery may re-entrantly transmit on this link.
-  const Packet p = pipe_.pop_front();
-  network_.deliver(to_, p);
 }
 
 }  // namespace rlacast::net

@@ -8,11 +8,14 @@
 //    pipelined, serialization is not).
 //
 // In-flight packets — the one being serialized and those in the propagation
-// pipe — live in a small ring owned by the link; the two pipeline events per
-// hop (serialization end, propagation end) are thin callbacks referencing
-// the link, so pumping a packet performs zero heap allocations and copies no
-// Packet into closures.  Propagation delay is a per-link constant and
-// serialization ends are strictly ordered, so deliveries pop the ring FIFO.
+// pipe — are owned by the link.  The serializer is one thin `[this]` event
+// at a time; the propagation pipe is a net::PacketPipe, which keeps one
+// armed scheduler event for its head however many packets are propagating,
+// so a long fat hop costs the scheduler heap one key, not a
+// bandwidth-delay product of them.  Pumping a packet performs zero heap
+// allocations and copies no Packet into closures.  Arrivals are clamped
+// monotone (last_arrival_, kept on every path), so deliveries pop FIFO even
+// when an injected jitter hook comes and goes mid-run.
 //
 // Note on buffer semantics: the packet currently being serialized has left
 // the queue, so a queue capacity of B packets admits B+1 packets on the hop.
@@ -138,7 +141,6 @@ class Link : public replay::Snapshotable {
  private:
   void pump();
   void on_serialized();
-  void on_propagated();
 
   sim::Simulator& sim_;
   Network& network_;
@@ -149,15 +151,15 @@ class Link : public replay::Snapshotable {
   std::unique_ptr<Queue> queue_;
   bool busy_ = false;
   Packet tx_pkt_;      // the packet being serialized (valid while busy_)
-  PacketRing pipe_;    // serialized packets still propagating, FIFO
+  PacketPipe pipe_;    // serialized packets still propagating, FIFO
   std::size_t inflight_hiwater_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t bytes_delivered_ = 0;
   std::uint64_t drops_ = 0;
   LinkFaultHook* fault_ = nullptr;
   bool routing_enabled_ = true;
-  sim::SimTime last_arrival_ = 0.0;  // monotone clamp keeping jittered
-                                     // deliveries FIFO (pipe pops in order)
+  sim::SimTime last_arrival_ = 0.0;  // latest arrival in the pipe: the
+                                     // monotone clamp keeping it FIFO
   std::uint64_t fault_drops_ = 0;
   std::uint64_t fault_duplicates_ = 0;
 };

@@ -79,7 +79,8 @@ bool RedQueue::enqueue(const Packet& p, sim::SimTime now) {
 
 std::optional<Packet> RedQueue::dequeue(sim::SimTime now) {
   if (q_.empty()) return std::nullopt;
-  Packet p = q_.pop_front();
+  Packet p = q_.front();
+  q_.pop_front();
   bytes_ -= p.size_bytes;
   note_dequeue();
   if (q_.empty()) {

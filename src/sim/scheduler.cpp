@@ -16,11 +16,12 @@ bool Scheduler::decode_live(EventId id, std::uint32_t& slot) const {
          static_cast<bool>(s.cb);
 }
 
-void Scheduler::heap_push(SimTime at, std::uint32_t slot, std::uint32_t gen) {
+void Scheduler::heap_push(SimTime at, std::uint64_t seq, std::uint32_t slot,
+                          std::uint32_t gen) {
   // Manual sift-up on the trivially-copyable key; cheaper than
   // std::push_heap's iterator machinery and allocation-free once the vector
   // has warmed up.
-  heap_.push_back(HeapEntry{at, next_seq_++, slot, gen});
+  heap_.push_back(HeapEntry{at, seq, slot, gen});
   std::size_t i = heap_.size() - 1;
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
@@ -62,8 +63,12 @@ void Scheduler::release_slot(std::uint32_t slot) {
   free_head_ = slot;
 }
 
-EventId Scheduler::schedule_at(SimTime at, Callback cb) {
+EventId Scheduler::schedule_keyed(SimTime at, std::uint64_t seq,
+                                  Callback&& cb) {
   assert(at >= now_ && "cannot schedule into the past");
+  assert((at > now_ || seq > now_seq_) &&
+         "keyed arm behind the event being dispatched");
+  assert(seq < next_seq_ && "sequence number was never reserved");
   assert(cb && "scheduling an empty callback");
   std::uint32_t slot;
   if (free_head_ != kNoFree) {
@@ -77,7 +82,7 @@ EventId Scheduler::schedule_at(SimTime at, Callback cb) {
   Slot& s = slots_[slot];
   if (cb.on_heap()) ++counters_.callback_heap_fallbacks;
   s.cb = std::move(cb);
-  heap_push(at, slot, s.gen);
+  heap_push(at, seq, slot, s.gen);
   ++live_events_;
   ++counters_.scheduled;
   counters_.slab_live_hiwater =
@@ -95,7 +100,7 @@ EventId Scheduler::reschedule_at(EventId id, SimTime at) {
   // been cancelled and rescheduled, without touching the callback or slab.
   Slot& s = slots_[slot];
   ++s.gen;
-  heap_push(at, slot, s.gen);
+  heap_push(at, next_seq_++, slot, s.gen);
   ++counters_.rescheduled;
   return pack(slot, s.gen);
 }
@@ -143,6 +148,7 @@ bool Scheduler::run_one() {
   release_slot(top.slot);
   --live_events_;
   now_ = top.at;
+  now_seq_ = top.seq;
   ++counters_.dispatched;
   if (observer_ != nullptr) observer_->on_dispatch(counters_.dispatched, now_);
   cb();

@@ -15,9 +15,17 @@
 // retargets a pending event in place — the callback stays in its slot; only
 // a fresh (time, sequence) key is pushed — which is what makes TCP-style
 // "restart the rexmit timer on every ACK" churn cheap.
+//
+// FIFO pipelines (a link's propagation pipe, a send pacer's pending queue)
+// keep only their head on the heap: each entry reserves its sequence number
+// with reserve_seq() when it joins the pipeline, and the pipeline arms its
+// head with schedule_keyed() under that reserved key (net::PacketPipe).  The
+// dispatch order is therefore exactly the one eager arming would give, while
+// the heap holds O(pipelines + timers) keys instead of one per packet.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "replay/snapshot.hpp"
@@ -42,7 +50,21 @@ class Scheduler : public replay::Snapshotable {
   using Callback = SmallCallback;
 
   /// Schedules `cb` to run at absolute time `at`. `at` must be >= now().
-  EventId schedule_at(SimTime at, Callback cb);
+  /// Same as schedule_keyed(at, reserve_seq(), cb).
+  EventId schedule_at(SimTime at, Callback cb) {
+    return schedule_keyed(at, next_seq_++, std::move(cb));
+  }
+
+  /// Takes the next FIFO sequence number without arming anything: the
+  /// caller arms it later with schedule_keyed(), and the event then orders
+  /// as if it had been scheduled now.
+  std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Arms `cb` under a key taken earlier from reserve_seq().  The key
+  /// (at, seq) must not be behind the event being dispatched (asserted):
+  /// a deferred arm may not reorder what has already run.  Each reserved
+  /// sequence number is armed at most once.
+  EventId schedule_keyed(SimTime at, std::uint64_t seq, Callback&& cb);
 
   /// Retargets a pending event to fire at `at` instead, keeping its stored
   /// callback (no destroy/reconstruct, no slot churn).  Returns the event's
@@ -58,7 +80,9 @@ class Scheduler : public replay::Snapshotable {
   /// True if no runnable (non-cancelled) events remain.
   bool empty() const { return live_events_ == 0; }
 
-  /// Number of runnable events still pending.
+  /// Number of armed events still pending.  Packets queued behind the head
+  /// of a FIFO pipeline (net::PacketPipe) hold a reserved key but no armed
+  /// event, so they are not counted here.
   std::size_t pending() const { return live_events_; }
 
   /// Current simulation time: the timestamp of the last dispatched event.
@@ -101,7 +125,9 @@ class Scheduler : public replay::Snapshotable {
 
   /// Full engine-state checkpoint: clock, live-event census, sequence
   /// cursor, and every EngineCounters field. Two runs agree here iff the
-  /// scheduler went through bit-identical histories.
+  /// scheduler went through bit-identical histories.  `live_events` and
+  /// `heap_size` count armed events and heap keys only: packets waiting
+  /// behind a pipeline head are not in either.
   replay::Snapshot snapshot_state() const override;
 
  private:
@@ -133,7 +159,8 @@ class Scheduler : public replay::Snapshotable {
   /// True and decoded when `id` refers to a currently-armed event.
   bool decode_live(EventId id, std::uint32_t& slot) const;
 
-  void heap_push(SimTime at, std::uint32_t slot, std::uint32_t gen);
+  void heap_push(SimTime at, std::uint64_t seq, std::uint32_t slot,
+                 std::uint32_t gen);
   void heap_pop();
 
   /// Discards cancelled entries off the heap top. Mutates only caches
@@ -149,6 +176,7 @@ class Scheduler : public replay::Snapshotable {
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoFree;
   SimTime now_ = 0.0;
+  std::uint64_t now_seq_ = 0;  // sequence of the event being dispatched
   std::uint64_t next_seq_ = 1;
   std::size_t live_events_ = 0;
   stats::EngineCounters counters_;

@@ -12,7 +12,7 @@
 namespace rlacast::stats {
 
 struct EngineCounters {
-  std::uint64_t scheduled = 0;    // schedule_at() calls
+  std::uint64_t scheduled = 0;    // events armed (schedule_at/_keyed)
   std::uint64_t cancelled = 0;    // cancel() calls that hit a live event
   std::uint64_t rescheduled = 0;  // in-place reschedule_at() retargets
   std::uint64_t dispatched = 0;   // callbacks actually run

@@ -3,10 +3,12 @@
 // This binary replaces the global operator new/delete with counting
 // wrappers, warms each subsystem past its growth phase (slab, heap, packet
 // rings), and then asserts that a steady-state window — timer re-arms, link
-// traffic, multicast fan-out — performs literally zero heap allocations.
+// traffic, paced sends, a pipe that never drains, multicast fan-out —
+// performs literally zero heap allocations.
 // The counter is per-binary, which is why this test lives in its own file.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -98,6 +100,91 @@ TEST(EngineAlloc, SteadyStateLinkTrafficAllocatesNothing) {
   const std::uint64_t delivered_before = sink.received;
   sim.run_until(10.0);
   EXPECT_EQ(g_news - before, 0u) << "link pipeline hit the heap";
+  EXPECT_GT(sink.received - delivered_before, 4000u);
+}
+
+TEST(EngineAlloc, SteadyStatePacedSendsAllocateNothing) {
+  sim::Simulator sim{1};
+  net::Network net{sim};
+  const net::NodeId a = net.add_node();
+  const net::NodeId b = net.add_node();
+  net::LinkConfig cfg;
+  cfg.bandwidth_bps = 8e6;
+  cfg.delay = 0.01;
+  cfg.buffer_pkts = 64;
+  net.connect(a, b, cfg);
+  net.build_routes();
+  CountingSink sink;
+  net.attach(b, 1, &sink);
+
+  // Up to 5 ms of processing per packet at one send per 2 ms: departures
+  // queue up behind each other in the pacer's pipe.
+  net::SendPacer pacer(sim, net, sim.rng_stream("pacer"), 0.005);
+  net::SeqNum next_seq = 0;
+  sim::Timer src(sim, [&] {
+    net::Packet p;
+    p.src = a;
+    p.dst = b;
+    p.dst_port = 1;
+    p.seq = next_seq++;
+    pacer.send(p);
+    src.schedule(0.002);
+  });
+  src.schedule(0.0);
+  sim.run_until(0.5);
+
+  const std::uint64_t before = g_news;
+  const std::uint64_t delivered_before = sink.received;
+  sim.run_until(10.0);
+  EXPECT_EQ(g_news - before, 0u) << "paced send path hit the heap";
+  EXPECT_GT(sink.received - delivered_before, 4000u);
+}
+
+TEST(EngineAlloc, NeverDrainingPipeWrapsWithoutGrowing) {
+  sim::Simulator sim{1};
+  net::Network net{sim};
+  const net::NodeId a = net.add_node();
+  const net::NodeId b = net.add_node();
+  net::LinkConfig cfg;
+  cfg.bandwidth_bps = 8e6;  // 1 ms serialization
+  cfg.delay = 0.05;         // ~25 packets always propagating at 500 pkt/s
+  cfg.buffer_pkts = 64;
+  net.connect(a, b, cfg);
+  net.build_routes();
+  CountingSink sink;
+  net.attach(b, 1, &sink);
+  net::Link* link = net.link_between(a, b);
+
+  net::SeqNum next_seq = 0;
+  sim::Timer src(sim, [&] {
+    net::Packet p;
+    p.src = a;
+    p.dst = b;
+    p.dst_port = 1;
+    p.seq = next_seq++;
+    net.inject(p);
+    src.schedule(0.002);
+  });
+  src.schedule(0.0);
+  sim.run_until(0.5);  // warm-up: the pipe fills and its ring sizes up
+
+  // Probe the pipe every 0.5 ms: it must never empty in the window, so its
+  // ring head wraps around thousands of times over live packets.
+  std::size_t min_in_flight = link->in_flight();
+  sim::Timer probe(sim, [&] {
+    min_in_flight = std::min(min_in_flight, link->in_flight());
+    probe.schedule(0.0005);
+  });
+  probe.schedule(0.0005);
+  sim.run_until(0.6);
+
+  const std::uint64_t before = g_news;
+  const std::size_t hiwater_before = link->in_flight_hiwater();
+  const std::uint64_t delivered_before = sink.received;
+  sim.run_until(10.0);
+  EXPECT_EQ(g_news - before, 0u) << "wrapping pipe ring hit the heap";
+  EXPECT_GE(min_in_flight, 20u) << "the pipe drained during the window";
+  EXPECT_EQ(link->in_flight_hiwater(), hiwater_before);
   EXPECT_GT(sink.received - delivered_before, 4000u);
 }
 

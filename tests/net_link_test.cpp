@@ -2,6 +2,7 @@
 // pipelining, queue backpressure, and the SendPacer overhead model.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
 #include "net/network.hpp"
@@ -197,6 +198,82 @@ TEST(Link, DropCounterMatchesQueueStatsAndMonitor) {
   EXPECT_EQ(mon.peak_backlog(), 2u);
   EXPECT_EQ(mon.samples().front().backlog, 2u);
   EXPECT_EQ(mon.samples().back().backlog, 0u);
+}
+
+TEST(Link, LongFatPipeHoldsOneHeapKey) {
+  // 1000 B at 8 Mbit/s = 1 ms serialization under 2 s of propagation: a
+  // saturated hop holds ~2000 packets in its pipe at once.  The pipe arms
+  // only its head, so the scheduler heap stays at the serializer + pipe
+  // head — not one key per packet in flight.
+  Fixture f(8e6, 2.0, /*buffer=*/4000);
+  for (SeqNum s = 0; s < 3000; ++s) f.net.inject(f.data(s));
+  f.sim.run_all();
+  ASSERT_EQ(f.sink.arrivals.size(), 3000u);
+  for (SeqNum s = 0; s < 3000; ++s) {
+    EXPECT_EQ(f.sink.arrivals[size_t(s)].first, s);
+    EXPECT_NEAR(f.sink.arrivals[size_t(s)].second,
+                static_cast<double>(s + 1) * 1e-3 + 2.0, 1e-9);
+  }
+  EXPECT_GE(f.net.link_between(f.a, f.b)->in_flight_hiwater(), 1000u);
+  EXPECT_LE(f.sim.scheduler().counters().heap_hiwater, 4u);
+}
+
+/// Jitters every third packet and duplicates every seventh; records the
+/// earliest arrival each jittered packet is entitled to.
+class JitterDupHook final : public LinkFaultHook {
+ public:
+  JitterDupHook(sim::SimTime delay, sim::SimTime jitter)
+      : delay_(delay), jitter_(jitter) {}
+  bool down(sim::SimTime) override { return false; }
+  WireVerdict wire(const Packet& p, sim::SimTime now) override {
+    WireVerdict v;
+    if (p.seq % 3 == 0) v.extra_delay = jitter_;
+    v.duplicated = p.seq % 7 == 0;
+    due[p.seq] = now + delay_ + v.extra_delay;
+    return v;
+  }
+  std::map<SeqNum, sim::SimTime> due;
+
+ private:
+  sim::SimTime delay_;
+  sim::SimTime jitter_;
+};
+
+TEST(Link, FaultHookComingAndGoingMidRunKeepsArrivalsFifo) {
+  // A saturated hop (1 ms service, 10 ms propagation) gets a jitter +
+  // duplication hook at t = 0.1005 s, removed at t = 0.2005 s.  The first
+  // pristine packets after removal would land before the last jittered
+  // ones; the link's monotone clamp must hold them back so the pipe pops
+  // FIFO: every packet arrives in order and no earlier than it is due.
+  constexpr sim::SimTime kTx = 1e-3, kDelay = 0.01;
+  Fixture f(8e6, kDelay, /*buffer=*/1000);
+  Link* l = f.net.link_between(f.a, f.b);
+  JitterDupHook hook(kDelay, 0.015);
+  f.sim.at(0.1005, [&] { l->set_fault_hook(&hook); });
+  f.sim.at(0.2005, [&] { l->set_fault_hook(nullptr); });
+  for (SeqNum s = 0; s < 400; ++s) f.net.inject(f.data(s));
+  f.sim.run_all();
+
+  ASSERT_FALSE(hook.due.empty());
+  EXPECT_GT(l->fault_duplicates(), 0u);
+  ASSERT_EQ(f.sink.arrivals.size(), 400u + l->fault_duplicates());
+  SeqNum expect = 0;
+  sim::SimTime last = 0.0;
+  for (std::size_t i = 0; i < f.sink.arrivals.size(); ++i) {
+    const auto [seq, at] = f.sink.arrivals[i];
+    const bool dup_copy = i > 0 && f.sink.arrivals[i - 1].first == seq;
+    if (!dup_copy) {
+      EXPECT_EQ(seq, expect++) << "arrival " << i;
+    }
+    EXPECT_GE(at, last) << "arrival " << i;
+    last = at;
+    const auto it = hook.due.find(seq);
+    const sim::SimTime due = it != hook.due.end()
+                                 ? it->second
+                                 : static_cast<double>(seq + 1) * kTx + kDelay;
+    EXPECT_GE(at, due - 1e-12) << "seq " << seq << " arrived early";
+  }
+  EXPECT_EQ(expect, 400u);
 }
 
 TEST(SendPacer, ZeroOverheadInjectsImmediately) {

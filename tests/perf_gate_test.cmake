@@ -1,9 +1,17 @@
 # Perf-regression gate (ROADMAP item 5): run `bench_engine --trajectory`
-# fresh and compare its headline throughput metrics against the checked-in
-# repo-root BENCH_engine.json snapshot.  A fresh metric more than 15% below
-# the snapshot emits a CMake WARNING — visible in the ctest log — but does
-# NOT fail the test: shared CI machines make hard throughput gates too
-# flaky, and the snapshot itself is regenerated (tools/regen_results.sh) on
+# fresh and compare its headline metrics against the checked-in repo-root
+# BENCH_engine.json snapshot.  Each metric is judged in its own direction:
+#  * every metric warns when it falls more than 15% below the snapshot
+#    (a throughput drop);
+#  * lower-is-better cost metrics (keys containing `_ns`, ending in
+#    `cpu_us_per_ack` or `bytes_per_rcvr`) also warn when they rise more
+#    than 15% above it (a slowdown);
+#  * outcome metrics (fairness results ending in `.ratio`, `.inband`,
+#    `.baseline_ratio`, `.jain_min`, `.band_inband`) also warn when they
+#    rise more than 15%: any drift of an outcome is a behaviour change.
+# A warning is a CMake WARNING — visible in the ctest log — and does NOT
+# fail the test: shared CI machines make hard throughput gates too flaky,
+# and the snapshot itself is regenerated (tools/regen_results.sh) on
 # machines that don't match CI.  The test FAILS only when the bench itself
 # fails or emits no trajectory.
 #
@@ -82,23 +90,43 @@ foreach(key IN LISTS base_keys)
                     "fresh run — bench output drifted?")
     continue()
   endif()
-  # verdict = 1 when fresh < 0.85 * baseline (a >15% throughput drop).
+  set(regen "(regenerate ${BASELINE} via tools/regen_results.sh if "
+            "intentional)")
+  # below = 1 when fresh < 0.85 * baseline (a >15% drop); above = 1 when
+  # fresh > 1.15 * baseline (a >15% rise).
   execute_process(
-    COMMAND "${AWK}" "BEGIN { print (${fresh_${key}} < 0.85 * ${base_${key}}) ? 1 : 0 }"
-    OUTPUT_VARIABLE below
+    COMMAND "${AWK}" "BEGIN { f = ${fresh_${key}}; b = ${base_${key}}; print (f < 0.85 * b) \" \" (f > 1.15 * b) }"
+    OUTPUT_VARIABLE verdict
     OUTPUT_STRIP_TRAILING_WHITESPACE)
+  string(REPLACE " " ";" verdict "${verdict}")
+  list(GET verdict 0 below)
+  list(GET verdict 1 above)
   if(below STREQUAL "1")
     math(EXPR regressions "${regressions} + 1")
     message(WARNING "perf_gate: ${key} fell >15% below the checked-in "
                     "snapshot: ${fresh_${key}} vs baseline ${base_${key}} "
-                    "(regenerate ${BASELINE} via tools/regen_results.sh "
-                    "if intentional)")
+                    ${regen})
+  endif()
+  if(above STREQUAL "1")
+    if(key MATCHES "_ns" OR key MATCHES "cpu_us_per_ack$" OR
+       key MATCHES "bytes_per_rcvr$")
+      math(EXPR regressions "${regressions} + 1")
+      message(WARNING "perf_gate: lower-is-better ${key} rose >15% above the "
+                      "checked-in snapshot: ${fresh_${key}} vs baseline "
+                      "${base_${key}} " ${regen})
+    elseif(key MATCHES "\\.(ratio|inband|baseline_ratio|jain_min|band_inband)$")
+      math(EXPR regressions "${regressions} + 1")
+      message(WARNING "perf_gate: outcome ${key} drifted >15% above the "
+                      "checked-in snapshot: ${fresh_${key}} vs baseline "
+                      "${base_${key}} " ${regen})
+    endif()
   endif()
 endforeach()
 
 if(regressions EQUAL 0)
-  message(STATUS "perf_gate: ${n_base} metrics within 15% of ${BASELINE}")
+  message(STATUS "perf_gate: ${n_base} metrics within 15% of ${BASELINE} "
+                 "in their gated directions")
 else()
-  message(STATUS "perf_gate: ${regressions} metric(s) below threshold (warned, "
-                 "not failed)")
+  message(STATUS "perf_gate: ${regressions} metric(s) outside threshold "
+                 "(warned, not failed)")
 endif()

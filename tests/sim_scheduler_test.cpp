@@ -278,6 +278,126 @@ TEST(Scheduler, RandomizedStressMatchesNaiveReference) {
   EXPECT_TRUE(s.empty());
 }
 
+TEST(Scheduler, ReservedKeyOrdersAsIfArmedAtReservation) {
+  Scheduler s;
+  std::vector<int> order;
+  const std::uint64_t seq = s.reserve_seq();  // booked first at t = 1 ...
+  s.schedule_at(1.0, [&] { order.push_back(2); });
+  s.schedule_keyed(1.0, seq, [&] { order.push_back(1); });  // ... armed late
+  s.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+// Property test for deferred keyed arming — the FIFO-pipeline pattern.  The
+// reference arms every event the moment its key is taken; the real
+// scheduler sees reserve_seq() then, and the schedule_keyed() only later —
+// at a random op, or at the latest just before a dispatch could pass the
+// key.  Plain schedules, cancels and in-place reschedules interleave, and
+// timestamps are quantized so equal-time ties (between keyed and plain
+// events alike) are common.  Dispatch order must match exactly.
+TEST(Scheduler, DeferredKeyedArmsMatchEagerReference) {
+  struct RefEvent {
+    SimTime at;
+    std::uint64_t seq;
+    int marker;
+    bool alive;
+  };
+  struct Deferred {
+    SimTime at;
+    std::uint64_t seq;
+    std::size_t ref;  // index of the reference's eager twin
+  };
+  Scheduler s;
+  Rng rng(0xdefe44edULL);
+  std::vector<RefEvent> ref;
+  std::vector<Deferred> deferred;
+  std::vector<int> real_order, ref_order;
+  std::vector<std::pair<EventId, std::size_t>> handles;
+  std::uint64_t ref_seq = 1;
+  int next_marker = 0;
+
+  auto ref_run_one = [&]() -> bool {
+    std::size_t best = ref.size();
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      if (!ref[i].alive) continue;
+      if (best == ref.size() || ref[i].at < ref[best].at ||
+          (ref[i].at == ref[best].at && ref[i].seq < ref[best].seq))
+        best = i;
+    }
+    if (best == ref.size()) return false;
+    ref_order.push_back(ref[best].marker);
+    ref[best].alive = false;
+    return true;
+  };
+  auto arm = [&](std::size_t k) {
+    const Deferred d = deferred[k];
+    deferred.erase(deferred.begin() + static_cast<std::ptrdiff_t>(k));
+    const int m = ref[d.ref].marker;
+    const EventId id = s.schedule_keyed(
+        d.at, d.seq, [&real_order, m] { real_order.push_back(m); });
+    handles.emplace_back(id, d.ref);
+  };
+  // Arms every deferred key the next dispatch could otherwise pass.
+  auto arm_due = [&] {
+    const SimTime next = s.next_time();
+    for (std::size_t k = deferred.size(); k-- > 0;)
+      if (next == kNever || deferred[k].at <= next) arm(k);
+  };
+
+  for (int op = 0; op < 20000; ++op) {
+    const double r = rng.uniform();
+    const SimTime at = s.now() + 0.5 * rng.uniform_int(0, 8);
+    if (r < 0.30) {
+      const int m = next_marker++;
+      const EventId id =
+          s.schedule_at(at, [&real_order, m] { real_order.push_back(m); });
+      handles.emplace_back(id, ref.size());
+      ref.push_back({at, ref_seq++, m, true});
+    } else if (r < 0.50) {
+      const std::uint64_t seq = s.reserve_seq();
+      ASSERT_EQ(seq, ref_seq);
+      const int m = next_marker++;
+      deferred.push_back({at, seq, ref.size()});
+      ref.push_back({at, ref_seq++, m, true});
+    } else if (r < 0.60 && !deferred.empty()) {
+      arm(static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(deferred.size()) - 1)));
+    } else if (r < 0.70 && !handles.empty()) {
+      const auto k = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(handles.size()) - 1));
+      s.cancel(handles[k].first);  // may be stale: no-op in both worlds
+      ref[handles[k].second].alive = false;
+      handles.erase(handles.begin() + static_cast<std::ptrdiff_t>(k));
+    } else if (r < 0.80 && !handles.empty()) {
+      const auto k = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(handles.size()) - 1));
+      const EventId nid = s.reschedule_at(handles[k].first, at);
+      ASSERT_EQ(nid != kInvalidEventId, ref[handles[k].second].alive);
+      if (nid != kInvalidEventId) {
+        const int m = ref[handles[k].second].marker;
+        ref[handles[k].second].alive = false;
+        handles[k] = {nid, ref.size()};
+        ref.push_back({at, ref_seq++, m, true});
+      } else {
+        handles.erase(handles.begin() + static_cast<std::ptrdiff_t>(k));
+      }
+    } else {
+      arm_due();
+      ASSERT_EQ(s.run_one(), ref_run_one());
+    }
+  }
+  while (!deferred.empty()) {
+    arm_due();
+    ASSERT_EQ(s.run_one(), ref_run_one());
+  }
+  while (ref_run_one()) {
+  }
+  s.run_all();
+  ASSERT_EQ(real_order.size(), ref_order.size());
+  EXPECT_EQ(real_order, ref_order);
+  EXPECT_TRUE(s.empty());
+}
+
 TEST(Simulator, AfterSchedulesRelativeToNow) {
   Simulator sim;
   double t1 = -1, t2 = -1;

@@ -3,6 +3,7 @@
 // and short-run sanity of all five bottleneck cases.
 #include <gtest/gtest.h>
 
+#include "topo/big_tree.hpp"
 #include "topo/tertiary_tree.hpp"
 
 namespace rlacast::topo {
@@ -106,6 +107,35 @@ TEST(TertiaryTree, CaseNamesAreDistinct) {
   EXPECT_NE(tree_case_name(TreeCase::kL1), tree_case_name(TreeCase::kL21));
   EXPECT_NE(tree_case_name(TreeCase::kL3All),
             tree_case_name(TreeCase::kL4All));
+}
+
+TEST(BigTree, HeapDepthScalesWithLinksAndAgentsNotPacketsInFlight) {
+  // n = 1000 members in 40 groups behind RED bottlenecks: thousands of
+  // data packets and ACKs are in flight at once (the per-packet heap of
+  // the past peaked above 3*10^4 keys here).  Link pipes and send pacers
+  // each keep one armed event, so the heap is bounded by the topology.
+  BigTreeConfig cfg;
+  cfg.receivers = 1000;
+  cfg.duration = 8.0;
+  cfg.warmup = 2.0;
+  std::size_t heap_hiwater = 0;
+  cfg.instrument = [&](sim::Simulator& sim) {
+    sim.at(cfg.duration, [&sim, &heap_hiwater] {
+      heap_hiwater = sim.scheduler().counters().heap_hiwater;
+    });
+  };
+  const BigTreeResult res = run_big_tree(cfg);
+  ASSERT_GT(res.acks, 100000u);  // the session really ran at scale
+  // A tree: nodes - 1 duplex links.  Agents: the sender, one receiver per
+  // group, a sender + receiver per background TCP.
+  const std::size_t links = 2 * static_cast<std::size_t>(res.nodes - 1);
+  const std::size_t agents = 1 + static_cast<std::size_t>(res.groups) +
+                             2 * res.tcps.size();
+  EXPECT_GT(heap_hiwater, 0u);
+  // Each link arms at most its serializer and its pipe head; agents add
+  // pacers, timers and the stale keys of in-place timer retargets.
+  EXPECT_LE(heap_hiwater, 3 * (links + agents))
+      << "links=" << links << " agents=" << agents;
 }
 
 }  // namespace
