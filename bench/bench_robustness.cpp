@@ -26,7 +26,8 @@
 //            the aggregate rate.
 //
 // Exp-runner based: `--jobs N`, `--replicates R`, `--json PATH`,
-// `--timeout S` (per-run wall-clock kill), `--smoke` (CI-sized subset).
+// `--timeout S` (each run forks; an overdue one is SIGKILLed into a
+// timed_out row), `--smoke` (CI-sized subset).
 // Results tables live in EXPERIMENTS.md.
 #include <cstdio>
 #include <string>

@@ -20,8 +20,10 @@
 // results.json ("jain.w00", "jain.w01", ...) for plotting.
 //
 // Exp-runner based: `--jobs N`, `--replicates R`, `--json PATH`,
-// `--timeout S`, `--smoke` (CI-sized pass), plus the replay flags
-// (--record-journal / --replay) via bench/replay_support.hpp.
+// `--timeout S` (each run forks; an overdue one is SIGKILLed), `--smoke`
+// (CI-sized pass), plus the replay flags (--record-journal / --replay) via
+// bench/replay_support.hpp. Under --timeout, --trajectory's peak_rss_mib
+// covers the forked runs too.
 #include <cstdio>
 #include <string>
 #include <vector>

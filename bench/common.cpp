@@ -21,7 +21,6 @@ exp::RunnerOptions Options::runner_options() const {
   r.jobs = resolved_jobs();
   r.progress = (r.jobs > 1 || replicates > 1) && isatty(fileno(stderr));
   r.timeout_seconds = run_timeout;
-  r.max_retries = retries;
   if (isolate) {
     r.isolate = true;
     r.crash_dir = crash_dir;
@@ -75,12 +74,6 @@ Options parse_options(int argc, char** argv) {
         std::fprintf(stderr, "--timeout must be >= 0 (0 = off)\n");
         std::exit(2);
       }
-    } else if (arg == "--retries") {
-      opt.retries = std::atoi(next_raw("--retries"));
-      if (opt.retries < 0) {
-        std::fprintf(stderr, "--retries must be >= 0\n");
-        std::exit(2);
-      }
     } else if (arg == "--smoke") {
       opt.smoke = true;
     } else if (arg == "--chaos") {
@@ -125,7 +118,7 @@ Options parse_options(int argc, char** argv) {
       std::printf(
           "usage: %s [--full] [--seed N] [--duration S] [--warmup S]\n"
           "          [--jobs N] [--replicates R] [--json PATH]\n"
-          "          [--timeout S] [--retries N] [--smoke]\n"
+          "          [--timeout S] [--smoke]\n"
           "          [--chaos] [--chaos-cases N]\n"
           "          [--record-journal DIR] [--replay PATH]\n"
           "          [--checkpoint-events N] [--isolate] [--crash-dir DIR]\n"
@@ -134,8 +127,8 @@ Options parse_options(int argc, char** argv) {
           "  --jobs N      run cases/replicates on N threads (0 = hardware)\n"
           "  --replicates R  repeat each case R times with derived seeds\n"
           "  --json PATH   write machine-readable results.json\n"
-          "  --timeout S   per-run wall-clock limit; overdue runs fail (0 = off)\n"
-          "  --retries N   extra attempts for transiently failing runs\n"
+          "  --timeout S   per-run wall-clock limit (0 = off); each run forks and\n"
+          "                an overdue one is SIGKILLed into a timed_out row\n"
           "  --smoke       CI-sized quick pass (bench-specific reduction)\n"
           "  --chaos       randomized adversary/impairment soak (supported benches)\n"
           "  --chaos-cases N  chaos scenarios per defense arm (default 12)\n"
@@ -297,10 +290,14 @@ bool finish_grid_output(
 }
 
 double peak_rss_mib() {
-  struct rusage ru {};
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0.0;
+  long max_kib = 0;
+  for (const int who : {RUSAGE_SELF, RUSAGE_CHILDREN}) {
+    struct rusage ru {};
+    if (getrusage(who, &ru) == 0 && ru.ru_maxrss > max_kib)
+      max_kib = ru.ru_maxrss;
+  }
   // Linux reports ru_maxrss in kilobytes.
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;
+  return static_cast<double>(max_kib) / 1024.0;
 }
 
 bool write_trajectory(

@@ -27,8 +27,9 @@ struct Options {
   int jobs = 1;            // --jobs N; 0 = hardware concurrency
   int replicates = 1;      // --replicates R; seeds derived per replicate
   std::string json_path;   // --json PATH; empty = no JSON output
-  double run_timeout = 0.0;  // --timeout S; per-run wall-clock limit, 0 = off
-  int retries = 0;           // --retries N; extra attempts on TransientError
+  /// --timeout S; per-run wall-clock limit, 0 = off. A positive limit
+  /// forks every run into the exp sandbox, which SIGKILLs an overdue one.
+  double run_timeout = 0.0;
   bool smoke = false;        // --smoke; CI-sized quick pass (bench-defined)
   /// Chaos/soak mode (benches that support it, e.g. bench_adversary): each
   /// replicate draws a randomized adversary + impairment scenario from its
@@ -67,8 +68,10 @@ struct Options {
 };
 
 /// Parses --full, --seed N, --duration S, --warmup S, --jobs N,
-/// --replicates R, --json PATH, --timeout S, --retries N, --smoke.
-/// Unknown flags abort with a usage message.
+/// --replicates R, --json PATH, --timeout S (forks each run; an overdue
+/// run is SIGKILLed), --smoke, and the chaos, replay, isolation and
+/// trajectory flags listed by --help. Unknown flags abort with a usage
+/// message.
 Options parse_options(int argc, char** argv);
 
 /// Adds the RLA row block of Figures 7/9 (one column per case) to a table.
@@ -106,7 +109,11 @@ bool finish_grid_output(
     double wall_seconds,
     std::vector<std::pair<std::string, std::string>> spec_extra = {});
 
-/// Peak resident set size of this process so far, in MiB (ru_maxrss).
+/// Peak resident set size so far, in MiB (ru_maxrss): the larger of this
+/// process and its largest reaped child, so runs forked by --timeout or
+/// --isolate are counted. Forked, it is the largest single run; in process
+/// with --jobs > 1 it is the concurrent runs together, so compare
+/// snapshots only across the same mode (CI and regen_results.sh both fork).
 double peak_rss_mib();
 
 /// Writes the --trajectory snapshot: {"experiment", "config", "metrics"}

@@ -245,7 +245,7 @@ std::string Results::to_json(
       out += ",\"error\":";
       json_escape(out, r.error);
     }
-    // Timeout/retry/crash columns appear only when those paths were taken,
+    // Timeout/crash columns appear only when those paths were taken,
     // so legacy results.json output is byte-identical.
     if (r.timed_out) out += ",\"timed_out\":true";
     if (r.crashed) {
@@ -258,10 +258,6 @@ std::string Results::to_json(
         out += ",\"crash_report\":";
         json_escape(out, r.crash_report);
       }
-    }
-    if (r.retries > 0) {
-      std::snprintf(buf, sizeof(buf), ",\"retries\":%d", r.retries);
-      out += buf;
     }
     out += ",\"wall_seconds\":";
     json_number(out, r.wall_seconds);

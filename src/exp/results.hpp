@@ -52,10 +52,9 @@ struct RunResult {
   bool ok = false;
   std::string error;          // exception text when !ok
   double wall_seconds = 0.0;  // this run's wall-clock time
-  int retries = 0;            // extra attempts consumed (TransientError only)
-  bool timed_out = false;     // killed by the per-run wall-clock timeout
-  bool crashed = false;       // isolated child died abnormally (--isolate)
-  int term_signal = 0;        // terminating signal of a crashed child, if any
+  bool timed_out = false;     // SIGKILLed by the per-run wall-clock timeout
+  bool crashed = false;       // forked child died abnormally
+  int term_signal = 0;        // signal that ended a timed-out/crashed child
   std::string crash_report;   // path of the written crash report, if any
 };
 

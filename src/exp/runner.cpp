@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <exception>
 #include <filesystem>
-#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -19,76 +18,6 @@ namespace {
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-/// Outcome of one attempt at one run.
-struct Attempt {
-  bool ok = false;
-  bool transient = false;  // failure was a TransientError
-  Metrics metrics;
-  std::string error;
-};
-
-Attempt attempt_run(const RunFn& fn, const RunSpec& spec) {
-  Attempt a;
-  try {
-    a.metrics = fn(spec);
-    a.ok = true;
-  } catch (const TransientError& e) {
-    a.transient = true;
-    a.error = e.what();
-  } catch (const std::exception& e) {
-    a.error = e.what();
-  } catch (...) {
-    a.error = "unknown exception";
-  }
-  return a;
-}
-
-/// One attempt under a wall-clock limit.  The attempt runs on its own
-/// thread; if it finishes in time the thread is joined and its outcome
-/// taken.  On timeout the waiter first raises `claimed` — the structural
-/// guarantee that a run completing after abandonment can never deliver a
-/// result: the attempt thread only publishes while claimed is still false,
-/// under the same mutex the waiter holds to claim.  Only then is the
-/// thread detached (threads cannot be killed portably); it keeps the
-/// shared state alive through its own shared_ptr.  Returns false on
-/// timeout.
-bool attempt_with_timeout(const RunFn& fn, const RunSpec& spec,
-                          double timeout_seconds, Attempt& out) {
-  struct Shared {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    std::atomic<bool> claimed{false};  // waiter gave up; discard the result
-    Attempt result;
-  };
-  auto shared = std::make_shared<Shared>();
-  // `fn` and `spec` are copied into the thread: the waiter (and even the
-  // whole batch) may return before an abandoned attempt finishes.
-  std::thread th([shared, fn, spec] {
-    Attempt a = attempt_run(fn, spec);
-    std::lock_guard<std::mutex> lock(shared->mu);
-    if (shared->claimed.load(std::memory_order_relaxed)) return;  // too late
-    shared->result = std::move(a);
-    shared->done = true;
-    shared->cv.notify_all();
-  });
-
-  std::unique_lock<std::mutex> lock(shared->mu);
-  const bool finished = shared->cv.wait_for(
-      lock, std::chrono::duration<double>(timeout_seconds),
-      [&] { return shared->done; });
-  if (finished) {
-    out = std::move(shared->result);
-    lock.unlock();
-    th.join();
-    return true;
-  }
-  shared->claimed.store(true, std::memory_order_relaxed);
-  lock.unlock();
-  th.detach();
-  return false;
 }
 
 /// results/crashes/<id>.crash.txt — id sanitized to a portable filename.
@@ -138,6 +67,48 @@ std::string write_crash_report(const RunnerOptions& opts, const RunSpec& spec,
   return path;
 }
 
+/// Runs out.spec in this process; an exception becomes an error row.
+void run_in_process(const RunFn& fn, RunResult& out) {
+  try {
+    out.metrics = fn(out.spec);
+    out.ok = true;
+  } catch (const std::exception& e) {
+    out.error = e.what();
+  } catch (...) {
+    out.error = "unknown exception";
+  }
+}
+
+/// Runs out.spec in a forked child (exp/sandbox.hpp): the one place a run
+/// can be stopped from outside.  An overdue child is SIGKILLed into a
+/// timed_out row; an abnormal death becomes a crashed row (plus a report
+/// when crash_dir is set).
+void run_forked(const RunnerOptions& opts, const RunFn& fn, RunResult& out) {
+  IsolateLimits limits;
+  limits.cpu_seconds = opts.isolate_cpu_seconds;
+  limits.memory_mb = opts.isolate_mem_mb;
+  IsolateOutcome iso =
+      run_isolated(fn, out.spec, limits, opts.timeout_seconds);
+  out.term_signal = iso.term_signal;  // 0 unless the child was signaled
+  if (iso.timed_out) {
+    out.timed_out = true;
+    char msg[64];
+    std::snprintf(msg, sizeof(msg), "timeout after %g s", opts.timeout_seconds);
+    out.error = msg;
+    return;
+  }
+  if (iso.crashed) {
+    out.crashed = true;
+    out.error = iso.describe();
+    if (!opts.crash_dir.empty())
+      out.crash_report = write_crash_report(opts, out.spec, iso);
+    return;
+  }
+  out.ok = iso.ok;
+  out.metrics = std::move(iso.metrics);
+  out.error = std::move(iso.error);
+}
+
 }  // namespace
 
 Results Runner::run(const std::vector<RunSpec>& specs, const RunFn& fn) const {
@@ -158,65 +129,10 @@ Results Runner::run(const std::vector<RunSpec>& specs, const RunFn& fn) const {
       RunResult& out = results[i];
       out.spec = specs[i];
       const auto run_t0 = std::chrono::steady_clock::now();
-      for (int attempt = 0;; ++attempt) {
-        Attempt a;
-        if (opts_.isolate) {
-          IsolateLimits limits;
-          limits.cpu_seconds = opts_.isolate_cpu_seconds;
-          limits.memory_mb = opts_.isolate_mem_mb;
-          IsolateOutcome iso =
-              run_isolated(fn, specs[i], limits, opts_.timeout_seconds);
-          if (iso.timed_out) {
-            out.ok = false;
-            out.timed_out = true;
-            char msg[64];
-            std::snprintf(msg, sizeof(msg), "timeout after %g s",
-                          opts_.timeout_seconds);
-            out.error = msg;
-            break;  // timeouts are never retried (see below)
-          }
-          if (iso.crashed) {
-            // The child died abnormally. Contain it: record the crash,
-            // write the report, keep sweeping. A crash is deterministic
-            // for a deterministic run_fn, so it is never retried.
-            out.ok = false;
-            out.crashed = true;
-            out.term_signal = iso.term_signal;
-            out.error = iso.describe();
-            if (!opts_.crash_dir.empty())
-              out.crash_report = write_crash_report(opts_, specs[i], iso);
-            break;
-          }
-          a.ok = iso.ok;
-          a.transient = iso.transient;
-          a.metrics = std::move(iso.metrics);
-          a.error = std::move(iso.error);
-        } else if (opts_.timeout_seconds > 0.0) {
-          if (!attempt_with_timeout(fn, specs[i], opts_.timeout_seconds, a)) {
-            // The attempt's thread is abandoned; never retry a timeout —
-            // the wedge is almost certainly deterministic and each retry
-            // would cost the full limit again.
-            out.ok = false;
-            out.timed_out = true;
-            char msg[64];
-            std::snprintf(msg, sizeof(msg), "timeout after %g s",
-                          opts_.timeout_seconds);
-            out.error = msg;
-            break;
-          }
-        } else {
-          a = attempt_run(fn, specs[i]);
-        }
-        out.ok = a.ok;
-        out.metrics = std::move(a.metrics);
-        out.error = std::move(a.error);
-        if (a.ok || !a.transient || attempt >= opts_.max_retries) break;
-        out.retries = attempt + 1;
-        const double backoff =
-            opts_.retry_backoff_seconds * static_cast<double>(1 << attempt);
-        if (backoff > 0.0) {
-          std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-        }
+      if (opts_.isolate || opts_.timeout_seconds > 0.0) {
+        run_forked(opts_, fn, out);
+      } else {
+        run_in_process(fn, out);
       }
       out.wall_seconds = seconds_since(run_t0);
       const std::size_t completed =

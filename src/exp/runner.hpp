@@ -13,7 +13,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -26,17 +25,6 @@ namespace rlacast::exp {
 /// concurrently from multiple threads (capture shared state const-only).
 using RunFn = std::function<Metrics(const RunSpec&)>;
 
-/// A run failure worth retrying (resource exhaustion, racy I/O, anything
-/// that may succeed on a second attempt).  Deterministic exceptions — a bad
-/// parameter, an invariant violation, sim::WatchdogTimeout — would fail
-/// identically every attempt, so only this type triggers the runner's
-/// retry-with-backoff path.
-class TransientError : public std::runtime_error {
- public:
-  explicit TransientError(const std::string& what)
-      : std::runtime_error(what) {}
-};
-
 struct RunnerOptions {
   int jobs = 1;           // worker threads; clamped to [1, #runs]
   bool progress = false;  // per-completion lines on stderr
@@ -45,23 +33,19 @@ struct RunnerOptions {
   /// default) disables.  Long chaos soaks otherwise look hung between
   /// per-run completion lines.
   double heartbeat_seconds = 0.0;
-  /// Per-run wall-clock limit in seconds; 0 disables.  A run exceeding it
-  /// is recorded as failed ("timeout after N s", timed_out = true) and the
-  /// rest of the batch proceeds.  The overdue run's thread is abandoned
-  /// (detached) — threads cannot be killed portably — so run_fn must not
-  /// hold locks the remaining runs need.  Timeouts are never retried.
+  /// Per-run wall-clock limit in seconds; 0 disables.  A positive limit
+  /// runs every spec in the fork sandbox (exp/sandbox.hpp), which SIGKILLs
+  /// an overdue child; the run is recorded as failed ("timeout after N s",
+  /// timed_out = true) and the rest of the batch proceeds.  run_fn's side
+  /// effects then happen in the child, so only its returned Metrics (and any
+  /// files it writes) reach the parent.
   double timeout_seconds = 0.0;
-  /// Extra attempts (beyond the first) for runs failing with a
-  /// TransientError.  Deterministic exceptions are not retried.
-  int max_retries = 0;
-  /// Sleep before retry attempt k is backoff * 2^(k-1) seconds.
-  double retry_backoff_seconds = 0.05;
 
   // --- crash isolation (see exp/sandbox.hpp) ------------------------------
-  /// Run every spec in a forked child process.  A child killed by
-  /// SIGSEGV/SIGABRT/OOM (or dying any other abnormal way) becomes a
-  /// crashed=true row — with a crash report when crash_dir is set — and the
-  /// sweep continues.  timeout_seconds applies per child (SIGKILL).
+  /// Run every spec in a forked child process, even without a timeout.  A
+  /// child killed by SIGSEGV/SIGABRT/OOM (or dying any other abnormal way)
+  /// becomes a crashed=true row — with a crash report when crash_dir is
+  /// set — and the sweep continues.
   bool isolate = false;
   /// Directory for crash report files ("" = don't write reports).
   std::string crash_dir;

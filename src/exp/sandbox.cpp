@@ -1,12 +1,12 @@
 #include "exp/sandbox.hpp"
 
-#include "exp/runner.hpp"
-
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <exception>
+#include <mutex>
 
 #include <poll.h>
 #include <signal.h>
@@ -79,13 +79,12 @@ bool get_str(const std::string& in, std::size_t& pos, std::string& s) {
   return true;
 }
 
-/// Serializes one attempt outcome for the pipe.
-std::string encode_payload(bool ok, bool transient, const std::string& error,
+/// Serializes one run's outcome for the pipe.
+std::string encode_payload(bool ok, const std::string& error,
                            const Metrics& metrics) {
   std::string out;
   put_u32(out, kPayloadMagic);
   out += ok ? '\1' : '\0';
-  out += transient ? '\1' : '\0';
   put_str(out, error);
   put_u32(out, static_cast<std::uint32_t>(metrics.rows().size()));
   for (const auto& [name, value] : metrics.rows()) {
@@ -102,9 +101,8 @@ bool decode_payload(const std::string& in, IsolateOutcome& out) {
   std::size_t pos = 0;
   std::uint32_t magic = 0;
   if (!get_u32(in, pos, magic) || magic != kPayloadMagic) return false;
-  if (pos + 2 > in.size()) return false;
+  if (pos + 1 > in.size()) return false;
   out.ok = in[pos++] != '\0';
-  out.transient = in[pos++] != '\0';
   std::uint32_t nmetrics = 0;
   if (!get_str(in, pos, out.error) || !get_u32(in, pos, nmetrics))
     return false;
@@ -159,6 +157,14 @@ IsolateOutcome run_isolated(const IsolatedRunFn& fn, const RunSpec& spec,
                             const IsolateLimits& limits,
                             double timeout_seconds) {
   IsolateOutcome out;
+  // Runner workers fork concurrently. A child forked while another worker
+  // still holds the write end of its result pipe would inherit that end,
+  // and the other worker would see no EOF until this child exits (a wedged
+  // child would make a finished run look timed out). Holding one lock from
+  // pipe() to the parent's close of the write end keeps every write end in
+  // exactly one child.
+  static std::mutex fork_mu;
+  std::unique_lock<std::mutex> fork_lock(fork_mu);
   int fds[2];
   if (::pipe(fds) != 0) {
     out.error = "pipe() failed";
@@ -181,21 +187,17 @@ IsolateOutcome run_isolated(const IsolatedRunFn& fn, const RunSpec& spec,
     ::close(fds[0]);
     apply_limits(limits);
     bool ok = false;
-    bool transient = false;
     std::string error;
     Metrics metrics;
     try {
       metrics = fn(spec);
       ok = true;
-    } catch (const TransientError& e) {
-      transient = true;
-      error = e.what();
     } catch (const std::exception& e) {
       error = e.what();
     } catch (...) {
       error = "unknown exception";
     }
-    const std::string payload = encode_payload(ok, transient, error, metrics);
+    const std::string payload = encode_payload(ok, error, metrics);
     write_all(fds[1], payload.data(), payload.size());
     ::close(fds[1]);
     std::fflush(nullptr);
@@ -204,6 +206,7 @@ IsolateOutcome run_isolated(const IsolatedRunFn& fn, const RunSpec& spec,
 
   // ---- parent ----
   ::close(fds[1]);
+  fork_lock.unlock();
   std::string payload;
   const auto t0 = std::chrono::steady_clock::now();
   bool killed = false;

@@ -1,4 +1,7 @@
-// Fork-based crash isolation for experiment runs (POSIX only).
+// Fork-based crash isolation for experiment runs (POSIX only). It is also
+// exp::Runner's only hard timeout: any run with timeout_seconds > 0 goes
+// through run_isolated(), because a forked child can be killed and a
+// thread cannot.
 //
 // run_isolated() executes one run in a forked child under rlimit caps and
 // reads the outcome back over a pipe. The contract is that NOTHING the run
@@ -11,7 +14,9 @@
 // a signal (plain build) or converted the fault into exit(1) (sanitizer
 // builds intercept SIGSEGV). Timeouts are the parent's doing — past the
 // deadline the child is SIGKILLed and the outcome says timed_out, not
-// crashed.
+// crashed. Concurrent calls (one per Runner worker) are safe: the forks
+// are serialized from pipe() to the parent's close of the write end, so
+// no child ever holds another run's result pipe open.
 //
 // Caveats, recorded here because they are caveats of fork(), not of this
 // wrapper: the child of a multi-threaded parent must not depend on other
@@ -29,8 +34,8 @@
 
 namespace rlacast::exp {
 
-// Runner's RunFn type, re-declared to avoid a circular include with
-// runner.hpp (which includes this header for its options).
+// Runner's RunFn type, re-declared so this header does not need
+// runner.hpp.
 using IsolatedRunFn = std::function<Metrics(const RunSpec&)>;
 
 struct IsolateLimits {
@@ -48,7 +53,6 @@ struct IsolateOutcome {
   int exit_code = -1;      // exit status when the child exited
   // Result payload, valid when completed:
   bool ok = false;
-  bool transient = false;  // failure was a TransientError (retryable)
   Metrics metrics;
   std::string error;
 

@@ -14,8 +14,9 @@
 //  * wall-clock limit — set_wall_limit() arms a real-time budget checked at
 //    every tick; exceeding it throws WatchdogTimeout out of the event loop,
 //    giving the experiment runner a cooperative in-process timeout for runs
-//    that are slow but still dispatching (the runner's detached-thread
-//    timeout remains the backstop for truly wedged runs).
+//    that are slow but still dispatching (the runner's timeout_seconds,
+//    which SIGKILLs the run's forked child, is the backstop for truly
+//    wedged runs).
 #pragma once
 
 #include <chrono>

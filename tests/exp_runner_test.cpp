@@ -1,17 +1,22 @@
 // Tests for the exp/ experiment-runner subsystem: grid expansion order,
 // deterministic seed derivation (thread-count and order independent),
 // jobs=1 vs jobs=8 bit-identical results, exception capture as error rows,
-// replicate aggregation math, and the results.json emitter.
+// the sandbox-backed per-run timeout, replicate aggregation math, and the
+// results.json emitter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <csignal>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+
+#include <fcntl.h>
+#include <sys/stat.h>
 
 #include "exp/runner.hpp"
 #include "exp/results.hpp"
@@ -223,81 +228,9 @@ TEST(ExpResults, JsonContainsSchemaFieldsAndEscapes) {
             std::count(json.begin(), json.end(), ']'));
 }
 
-TEST(ExpRunner, TransientErrorIsRetriedWithRecordedCount) {
-  exp::Grid g;
-  g.master_seed(2).replicates(1);
-  g.add_case("flaky");
-  g.add_case("solid");
-  exp::RunnerOptions opts;
-  opts.jobs = 2;
-  opts.max_retries = 3;
-  opts.retry_backoff_seconds = 0.001;
-
-  std::atomic<int> flaky_calls{0};
-  const auto results = exp::Runner(opts).run(g, [&](const exp::RunSpec& s) {
-    if (s.name == "flaky" && flaky_calls.fetch_add(1) < 2)
-      throw exp::TransientError("spurious");
-    return fake_scenario(s);
-  });
-
-  EXPECT_EQ(flaky_calls.load(), 3);  // 2 failures + 1 success
-  EXPECT_EQ(results.num_errors(), 0u);
-  for (const auto& r : results.runs()) {
-    EXPECT_TRUE(r.ok) << r.spec.id();
-    EXPECT_FALSE(r.timed_out);
-    EXPECT_EQ(r.retries, r.spec.name == "flaky" ? 2 : 0) << r.spec.id();
-  }
-  const std::string json =
-      exp::Results(results.runs()).to_json("unit", 2, 1, 2, 0.0, {});
-  EXPECT_NE(json.find("\"retries\":2"), std::string::npos);
-  EXPECT_EQ(json.find("\"timed_out\""), std::string::npos);
-}
-
-TEST(ExpRunner, TransientErrorExhaustsRetriesIntoErrorRow) {
-  exp::Grid g;
-  g.master_seed(2).replicates(1);
-  g.add_case("doomed");
-  exp::RunnerOptions opts;
-  opts.jobs = 1;
-  opts.max_retries = 2;
-  opts.retry_backoff_seconds = 0.001;
-
-  std::atomic<int> calls{0};
-  const auto results =
-      exp::Runner(opts).run(g, [&](const exp::RunSpec&) -> exp::Metrics {
-        calls.fetch_add(1);
-        throw exp::TransientError("always transient");
-      });
-
-  EXPECT_EQ(calls.load(), 3);  // initial attempt + 2 retries
-  ASSERT_EQ(results.runs().size(), 1u);
-  EXPECT_FALSE(results.runs()[0].ok);
-  EXPECT_EQ(results.runs()[0].retries, 2);
-  EXPECT_EQ(results.runs()[0].error, "always transient");
-}
-
-TEST(ExpRunner, DeterministicFailureIsNotRetried) {
-  exp::Grid g;
-  g.master_seed(2).replicates(1);
-  g.add_case("broken");
-  exp::RunnerOptions opts;
-  opts.jobs = 1;
-  opts.max_retries = 5;  // generous budget that must go unused
-
-  std::atomic<int> calls{0};
-  const auto results =
-      exp::Runner(opts).run(g, [&](const exp::RunSpec&) -> exp::Metrics {
-        calls.fetch_add(1);
-        throw std::runtime_error("deterministic bug");
-      });
-
-  EXPECT_EQ(calls.load(), 1);  // a plain exception never retries
-  ASSERT_EQ(results.runs().size(), 1u);
-  EXPECT_FALSE(results.runs()[0].ok);
-  EXPECT_EQ(results.runs()[0].retries, 0);
-  EXPECT_EQ(results.runs()[0].error, "deterministic bug");
-}
-
+// The fork sandbox is the runner's one hard timeout: timeout_seconds alone
+// (isolate off) forks each run, and the wedged child is SIGKILLed at the
+// limit while the other runs complete.
 TEST(ExpRunner, WedgedRunIsKilledByTimeoutWithoutBlockingOthers) {
   exp::Grid g;
   g.master_seed(4).replicates(1);
@@ -307,38 +240,91 @@ TEST(ExpRunner, WedgedRunIsKilledByTimeoutWithoutBlockingOthers) {
   exp::RunnerOptions opts;
   opts.jobs = 2;
   opts.timeout_seconds = 0.2;
-  opts.max_retries = 3;  // timeouts must NOT consume retries
+  exp::Runner runner(opts);
 
-  std::atomic<int> wedged_calls{0};
-  const auto results = exp::Runner(opts).run(g, [&](const exp::RunSpec& s) {
-    if (s.name == "wedged") {
-      wedged_calls.fetch_add(1);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1500));
-    }
+  const auto results = runner.run(g, [](const exp::RunSpec& s) {
+    if (s.name == "wedged") std::this_thread::sleep_for(std::chrono::seconds(30));
     return fake_scenario(s);
   });
 
-  EXPECT_EQ(wedged_calls.load(), 1);  // abandoned, never retried
   ASSERT_EQ(results.runs().size(), 3u);
   EXPECT_EQ(results.num_errors(), 1u);
   for (const auto& r : results.runs()) {
     if (r.spec.name == "wedged") {
       EXPECT_FALSE(r.ok);
       EXPECT_TRUE(r.timed_out);
-      EXPECT_EQ(r.retries, 0);
+      EXPECT_FALSE(r.crashed);
+      EXPECT_EQ(r.term_signal, SIGKILL);
+      EXPECT_TRUE(r.metrics.empty());
       EXPECT_NE(r.error.find("timeout"), std::string::npos) << r.error;
     } else {
       EXPECT_TRUE(r.ok) << r.spec.id();
       EXPECT_FALSE(r.timed_out);
+      EXPECT_EQ(r.metrics, fake_scenario(r.spec)) << r.spec.id();
     }
   }
+  // run() reaps every child before it returns, so a batch that ends long
+  // before the 30 s wedge had its wedged child killed, not waited out.
+  EXPECT_LT(runner.last_wall_seconds(), 15.0);
   const std::string json =
       exp::Results(results.runs()).to_json("unit", 4, 1, 2, 0.0, {});
   EXPECT_NE(json.find("\"timed_out\":true"), std::string::npos);
-  // The abandoned worker thread may still be sleeping when the test body
-  // ends; give it time to drain so its write to `wedged_calls` (and gtest's
-  // teardown) cannot race process exit under TSan.
-  std::this_thread::sleep_for(std::chrono::milliseconds(1600));
+}
+
+/// Open descriptors of this process that are the write end of a pipe.
+int pipe_write_ends() {
+  int n = 0;
+  for (int fd = 3; fd < 1024; ++fd) {
+    struct stat st;
+    if (::fstat(fd, &st) != 0 || !S_ISFIFO(st.st_mode)) continue;
+    if ((::fcntl(fd, F_GETFL) & O_ACCMODE) == O_WRONLY) ++n;
+  }
+  return n;
+}
+
+// Workers fork concurrently. A child forked while another worker still
+// holds the write end of its result pipe would inherit that end, and the
+// other worker would then see no EOF until the child exits: beside a
+// wedged child, a quick run would wait out its own deadline and be
+// recorded timed_out. Each quick child also counts the pipe write ends it
+// holds, which must be the batch's baseline plus its own result pipe.
+TEST(ExpRunner, QuickRunsBesideWedgedRunsNeverTimeOut) {
+  exp::Grid g;
+  g.master_seed(5).replicates(1);
+  int wedged = 0;
+  for (int i = 0; i < 200; ++i) {
+    if (i % 50 == 25) {
+      g.add_case("wedged-" + std::to_string(wedged++));
+    } else {
+      g.add_case("quick-" + std::to_string(i));
+    }
+  }
+  exp::RunnerOptions opts;
+  opts.jobs = 4;
+  opts.timeout_seconds = 1.0;
+  exp::Runner runner(opts);
+
+  const int baseline = pipe_write_ends();
+  const auto results = runner.run(g, [](const exp::RunSpec& s) {
+    if (s.name.rfind("wedged", 0) == 0)
+      std::this_thread::sleep_for(std::chrono::seconds(30));
+    exp::Metrics m = fake_scenario(s);
+    m.set("pipe_write_ends", pipe_write_ends());
+    return m;
+  });
+
+  ASSERT_EQ(results.runs().size(), 200u);
+  EXPECT_EQ(results.num_errors(), static_cast<std::size_t>(wedged));
+  for (const auto& r : results.runs()) {
+    if (r.spec.name.rfind("wedged", 0) == 0) {
+      EXPECT_TRUE(r.timed_out) << r.spec.id();
+    } else {
+      EXPECT_TRUE(r.ok) << r.spec.id() << ": " << r.error;
+      EXPECT_FALSE(r.timed_out) << r.spec.id();
+      EXPECT_EQ(r.metrics.get("pipe_write_ends"), baseline + 1)
+          << r.spec.id();
+    }
+  }
 }
 
 TEST(ExpResults, LegacyJsonHasNoRobustnessKeysWhenUnused) {
@@ -350,7 +336,6 @@ TEST(ExpResults, LegacyJsonHasNoRobustnessKeysWhenUnused) {
   runs.push_back(ok);
   const std::string json =
       exp::Results(std::move(runs)).to_json("unit", 1, 1, 1, 0.0, {});
-  EXPECT_EQ(json.find("\"retries\""), std::string::npos);
   EXPECT_EQ(json.find("\"timed_out\""), std::string::npos);
 }
 

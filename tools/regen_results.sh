@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Regenerates the shipped result transcripts:
-#   test_output.txt   - full ctest run
+# Regenerates the result transcripts:
 #   bench_output.txt  - every bench binary at its default (scaled) settings
+#                       (committed: EXPERIMENTS.md cites its tables)
+#   results/test_output.txt - full ctest run (results/ is gitignored, so a
+#                       test list can never go stale in the repo)
 #   results/*.json    - machine-readable batches from the exp/-migrated benches
 #   BENCH_*.json      - repo-root trajectory snapshots (engine throughput,
 #                       workload fairness minima, peak RSS) whose git history
@@ -24,9 +26,9 @@ fail() {
 
 cmake --build "$ROOT/$BUILD"
 
-ctest --test-dir "$ROOT/$BUILD" 2>&1 | tee "$ROOT/test_output.txt"
-
 mkdir -p "$ROOT/results"
+
+ctest --test-dir "$ROOT/$BUILD" 2>&1 | tee "$ROOT/results/test_output.txt"
 
 # Benches migrated onto the exp/ runner (accept --jobs/--json).
 exp_benches="bench_fig7_droptail bench_fig9_red bench_fig10_rtt bench_multisession bench_engine bench_robustness bench_adversary bench_workload bench_scale"
@@ -36,12 +38,16 @@ is_exp_bench() {
   return 1
 }
 
-# Benches that also emit a repo-root trajectory snapshot.
+# Benches that also emit a repo-root trajectory snapshot. --timeout forks
+# every run, as in CI's trajectory steps, so peak_rss_mib reads the largest
+# single run in both places (in process with --jobs > 1 it would be the sum
+# of concurrent runs); the hour is a cap, not an expected run length.
 trajectory_args() {
+  local traj="--timeout 3600 --trajectory"
   case "$1" in
-    bench_engine)   echo "--trajectory $ROOT/BENCH_engine.json" ;;
-    bench_workload) echo "--trajectory $ROOT/BENCH_workload.json" ;;
-    bench_scale)    echo "--trajectory $ROOT/BENCH_scale.json" ;;
+    bench_engine)   echo "$traj $ROOT/BENCH_engine.json" ;;
+    bench_workload) echo "$traj $ROOT/BENCH_workload.json" ;;
+    bench_scale)    echo "$traj $ROOT/BENCH_scale.json" ;;
     *)              echo "" ;;
   esac
 }
@@ -55,7 +61,7 @@ for b in "$ROOT/$BUILD"/bench/*; do
     json="$ROOT/results/$name.json"
     rm -f "$json"
     set +e
-    # shellcheck disable=SC2046  # trajectory_args is empty or two words
+    # shellcheck disable=SC2046  # trajectory_args is empty or four words
     "$b" --jobs "$JOBS" --json "$json" \
       $(trajectory_args "$name") 2>&1 \
       | tee -a "$ROOT/bench_output.txt"
