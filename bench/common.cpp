@@ -21,12 +21,11 @@ exp::RunnerOptions Options::runner_options() const {
   r.jobs = resolved_jobs();
   r.progress = (r.jobs > 1 || replicates > 1) && isatty(fileno(stderr));
   r.timeout_seconds = run_timeout;
-  if (isolate) {
-    r.isolate = true;
-    r.crash_dir = crash_dir;
-    r.isolate_cpu_seconds = isolate_cpu;
-    r.isolate_mem_mb = isolate_mem_mb;
-  }
+  r.isolate = isolate;
+  if (isolate) r.crash_dir = crash_dir;
+  // Every forked run (--isolate or --timeout) gets the rlimits.
+  r.isolate_cpu_seconds = isolate_cpu;
+  r.isolate_mem_mb = isolate_mem_mb;
   return r;
 }
 
@@ -137,8 +136,10 @@ Options parse_options(int argc, char** argv) {
           "  --checkpoint-events N  checkpoint cadence in dispatches\n"
           "  --isolate     fork-sandbox every run; crashes are contained\n"
           "  --crash-dir DIR  crash reports + journals (default results/crashes)\n"
-          "  --isolate-cpu S  RLIMIT_CPU per isolated run (0 = unlimited)\n"
-          "  --isolate-mem MB  RLIMIT_AS per isolated run (0 = unlimited)\n"
+          "  --isolate-cpu S  RLIMIT_CPU per forked run (0 = unlimited); needs\n"
+          "                --isolate or --timeout\n"
+          "  --isolate-mem MB  RLIMIT_AS per forked run (0 = unlimited); needs\n"
+          "                --isolate or --timeout\n"
           "  --trajectory PATH  write a run-health JSON snapshot to PATH\n",
           argv[0]);
       std::exit(0);
@@ -146,6 +147,13 @@ Options parse_options(int argc, char** argv) {
       std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg.c_str());
       std::exit(2);
     }
+  }
+  if ((opt.isolate_cpu > 0.0 || opt.isolate_mem_mb > 0) && !opt.isolate &&
+      opt.run_timeout <= 0.0) {
+    std::fprintf(stderr,
+                 "--isolate-cpu/--isolate-mem limit forked runs only: add "
+                 "--isolate or --timeout S\n");
+    std::exit(2);
   }
   return opt;
 }

@@ -44,8 +44,10 @@ struct Options {
   std::uint64_t checkpoint_events = 20000;  // --checkpoint-events N
   bool isolate = false;            // --isolate; fork-sandbox every run
   std::string crash_dir = "results/crashes";  // --crash-dir DIR
-  double isolate_cpu = 0.0;        // --isolate-cpu S; RLIMIT_CPU per run
-  std::size_t isolate_mem_mb = 0;  // --isolate-mem MB; RLIMIT_AS per run
+  /// RLIMIT_CPU / RLIMIT_AS of every forked run (--isolate or --timeout);
+  /// parse_options rejects a nonzero limit when runs do not fork.
+  double isolate_cpu = 0.0;        // --isolate-cpu S
+  std::size_t isolate_mem_mb = 0;  // --isolate-mem MB
 
   /// --trajectory PATH: after the run, write a one-object JSON snapshot of
   /// the bench's health metrics (throughput, peak RSS, fairness minima) to

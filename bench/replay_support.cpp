@@ -10,22 +10,8 @@ namespace rlacast::bench {
 
 namespace {
 
-/// Mirrors the exp runner's crash-report naming so a run's journal and its
-/// crash report sort next to each other.
-std::string sanitize_for_filename(const std::string& id) {
-  std::string out;
-  out.reserve(id.size());
-  for (char c : id) {
-    const bool keep = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '-' || c == '.' ||
-                      c == '_';
-    out += keep ? c : '_';
-  }
-  return out;
-}
-
 std::string journal_path_for(const std::string& dir, const exp::RunSpec& spec) {
-  return dir + "/" + sanitize_for_filename(spec.id()) + ".journal";
+  return dir + "/" + spec.file_stem() + ".journal";
 }
 
 }  // namespace

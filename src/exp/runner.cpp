@@ -20,27 +20,14 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// results/crashes/<id>.crash.txt — id sanitized to a portable filename.
-std::string sanitize_for_filename(const std::string& id) {
-  std::string out;
-  out.reserve(id.size());
-  for (char c : id) {
-    const bool keep = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '-' || c == '.' ||
-                      c == '_';
-    out += keep ? c : '_';
-  }
-  return out;
-}
-
-/// Writes the crash report for one crashed isolated run; returns its path
-/// ("" on failure — the crash row survives either way).
+/// Writes <crash_dir>/<file stem>.crash.txt for one crashed isolated run;
+/// returns its path ("" on failure — the crash row survives either way).
 std::string write_crash_report(const RunnerOptions& opts, const RunSpec& spec,
                                const IsolateOutcome& outcome) {
   std::error_code ec;
   std::filesystem::create_directories(opts.crash_dir, ec);
   const std::string path =
-      opts.crash_dir + "/" + sanitize_for_filename(spec.id()) + ".crash.txt";
+      opts.crash_dir + "/" + spec.file_stem() + ".crash.txt";
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return "";
   std::fprintf(f, "crash report: %s\n", spec.id().c_str());

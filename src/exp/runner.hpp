@@ -49,9 +49,9 @@ struct RunnerOptions {
   bool isolate = false;
   /// Directory for crash report files ("" = don't write reports).
   std::string crash_dir;
-  /// RLIMIT_CPU per isolated run, seconds; 0 = unlimited.
+  /// RLIMIT_CPU per forked run (isolate or timeout), seconds; 0 = unlimited.
   double isolate_cpu_seconds = 0.0;
-  /// RLIMIT_AS per isolated run, MiB; 0 = unlimited.
+  /// RLIMIT_AS per forked run (isolate or timeout), MiB; 0 = unlimited.
   std::size_t isolate_mem_mb = 0;
   /// Extra lines for a crash report (journal path, last checkpoint id, the
   /// exact `bench_X --replay <journal>` repro command).  Called in the

@@ -76,6 +76,17 @@ std::string Point::id() const {
   return out;
 }
 
+std::string RunSpec::file_stem() const {
+  std::string out = id();
+  for (char& c : out) {
+    const bool keep = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                      (c >= '0' && c <= '9') || c == '-' || c == '.' ||
+                      c == '_';
+    if (!keep) c = '_';
+  }
+  return out;
+}
+
 std::string RunSpec::id() const {
   std::string out = name;
   const std::string pid = point.id();

@@ -60,6 +60,11 @@ struct RunSpec {
 
   /// "name/k=v#r" — the human-readable run identity used in logs and JSON.
   std::string id() const;
+
+  /// id() with every character outside [A-Za-z0-9._-] replaced by '_': the
+  /// stem of the run's crash report and replay journal file names, so the
+  /// two sort next to each other.
+  std::string file_stem() const;
 };
 
 /// Derives the per-run seed from (master, name, point id, replicate).

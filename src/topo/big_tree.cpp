@@ -4,28 +4,19 @@
 #include <cassert>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <vector>
 
-#include "net/network.hpp"
 #include "rla/group_receiver.hpp"
-#include "rla/rla_sender.hpp"
-#include "sim/simulator.hpp"
-#include "tcp/tcp_receiver.hpp"
+#include "topo/scenario.hpp"
 
 namespace rlacast::topo {
-namespace {
-
-double pps_to_bps(double pps, std::int32_t pkt_bytes) {
-  return pps * static_cast<double>(pkt_bytes) * 8.0;
-}
-
-}  // namespace
 
 BigTreeResult run_big_tree(const BigTreeConfig& cfg) {
   assert(cfg.receivers > 0 && cfg.group_size > 0);
-  sim::Simulator sim(cfg.seed);
-  if (cfg.instrument) cfg.instrument(sim);
-  net::Network net(sim);
+  Scenario sc(cfg.seed, cfg.instrument);
+  sim::Simulator& sim = sc.sim;
+  net::Network& net = sc.net;
 
   const int groups =
       (cfg.receivers + cfg.group_size - 1) / cfg.group_size;
@@ -62,40 +53,28 @@ BigTreeResult run_big_tree(const BigTreeConfig& cfg) {
   // background TCP (m = 1); its reverse stands in for group_size collapsed
   // per-leaf ACK paths and stays fast.
   const double cap_bps = pps_to_bps(cfg.share_pps * 2.0, pkt_bytes);
-  std::vector<net::Link*> bottleneck_links;
+  net::LinkConfig soft = gateway_link(cfg.gateway, cfg.buffer_pkts, cfg.red);
+  soft.bandwidth_bps = cap_bps;
+  soft.delay = cfg.leaf_delay;
+  soft.reverse_bandwidth_bps = cfg.fast_link_bps;
+  soft.reverse_buffer_pkts = ack_buf;  // the group's collapsed ACK paths
   for (int g = 0; g < groups; ++g) {
     const net::NodeId up = branch[static_cast<std::size_t>(g % branches)];
-    net::LinkConfig c = fast.with_delay(cfg.leaf_delay);
-    if (g < congested) {
-      c.bandwidth_bps = cap_bps;
-      c.buffer_pkts = cfg.buffer_pkts;  // the soft bottleneck stays small
-      c.reverse_bandwidth_bps = cfg.fast_link_bps;
-      c.reverse_buffer_pkts = ack_buf;  // the group's collapsed ACK paths
-      c.queue = cfg.gateway == GatewayType::kRed ? net::QueueKind::kRed
-                                                 : net::QueueKind::kDropTail;
-      c.red = cfg.red;
-    }
-    const auto duplex = net.connect(up, leaf[static_cast<std::size_t>(g)], c);
-    if (g < congested) bottleneck_links.push_back(duplex.forward);
+    const auto duplex =
+        net.connect(up, leaf[static_cast<std::size_t>(g)],
+                    g < congested ? soft : fast.with_delay(cfg.leaf_delay));
+    if (g < congested) sc.bottlenecks.push_back(duplex.forward);
   }
   net.build_routes();
+  const sim::SimTime overhead = sc.randomize_phase(
+      cfg.gateway, /*enabled=*/true, cfg.rla, cfg.tcp, cap_bps);
 
-  // Drop-tail phase randomization: both flow kinds share one jitter bound
-  // derived from the bottleneck serialization time (see run_tertiary_tree).
-  const sim::SimTime overhead =
-      cfg.gateway == GatewayType::kDropTail
-          ? static_cast<double>(pkt_bytes) * 8.0 / cap_bps
-          : 0.0;
-
-  // --- the RLA session -------------------------------------------------------
+  // --- the RLA session (session 0: group 1, sender port 1000) --------------
   const net::GroupId group_id = 1;
   const net::PortId sender_port = 1000;
   const net::PortId rcvr_port = 10;
-  rla::RlaParams rp = cfg.rla;
-  rp.max_send_overhead = overhead;
-  auto sender = std::make_unique<rla::RlaSender>(net, s, sender_port, group_id,
-                                                 /*flow=*/1000, rp);
-  sender->reserve_receivers(static_cast<std::size_t>(cfg.receivers));
+  rla::RlaSender& sender = sc.add_session(s, {}, rcvr_port, cfg.rla);
+  sender.reserve_receivers(static_cast<std::size_t>(cfg.receivers));
   std::vector<std::unique_ptr<rla::GroupReceiver>> group_receivers;
   group_receivers.reserve(static_cast<std::size_t>(groups));
   int remaining = cfg.receivers;
@@ -107,7 +86,7 @@ BigTreeResult run_big_tree(const BigTreeConfig& cfg) {
     std::vector<int> ids;
     ids.reserve(static_cast<std::size_t>(members));
     for (int m = 0; m < members; ++m)
-      ids.push_back(sender->add_receiver(node, rcvr_port));
+      ids.push_back(sender.add_receiver(node, rcvr_port));
     rla::GroupReceiverOptions gopts;
     gopts.max_ack_overhead = std::max(cfg.ack_spread, overhead);
     group_receivers.push_back(std::make_unique<rla::GroupReceiver>(
@@ -116,69 +95,48 @@ BigTreeResult run_big_tree(const BigTreeConfig& cfg) {
   }
   assert(remaining == 0);
 
-  // --- background TCP on every congested group link --------------------------
-  std::vector<std::unique_ptr<tcp::TcpSender>> tcp_senders;
-  std::vector<std::unique_ptr<tcp::TcpReceiver>> tcp_receivers;
-  for (int g = 0; g < congested; ++g) {
-    const net::NodeId node = leaf[static_cast<std::size_t>(g)];
-    const auto port = static_cast<net::PortId>(100 + g);
-    tcp::TcpParams tp = cfg.tcp;
-    tp.max_send_overhead = overhead;
-    tcp_receivers.push_back(std::make_unique<tcp::TcpReceiver>(
-        net, node, port, net::kAckPacketBytes, overhead));
-    tcp_senders.push_back(std::make_unique<tcp::TcpSender>(
-        net, s, port, node, port, static_cast<net::FlowId>(g + 1), tp));
-  }
-
-  auto starts = sim.rng_stream("start-jitter");
-  for (auto& t : tcp_senders) t->start_at(starts.uniform(0.0, 1.0));
-  sender->start_at(cfg.rla_start + starts.uniform(0.0, 0.5));
+  // --- background TCP on every congested group link, ports from 100 ----------
+  sc.add_tcps(s, std::span(leaf).first(static_cast<std::size_t>(congested)),
+              /*first_port=*/100, cfg.tcp);
+  // The historical uniform(0, 1) TCP starts, then the session's own draw.
+  sim::Rng starts = sc.start(workload::StartScheduleConfig{});
+  sender.start_at(cfg.rla_start + starts.uniform(0.0, 0.5));
 
   BigTreeResult res;
   res.nodes = static_cast<int>(net.node_count());
   res.groups = groups;
-
-  sim.at(cfg.warmup, [&] {
-    sender->measurement().begin_measurement(sim.now());
-    for (auto& t : tcp_senders) t->measurement().begin_measurement(sim.now());
-  });
-  std::unique_ptr<sim::Timer> sampler;
-  if (cfg.sample_period > 0.0) {
-    sampler = std::make_unique<sim::Timer>(sim, [&] {
-      res.materialized_hiwater =
-          std::max(res.materialized_hiwater, sender->materialized_scoreboards());
-      res.sender_state_bytes_hiwater =
-          std::max(res.sender_state_bytes_hiwater, sender->state_bytes());
-      if (sim.now() + cfg.sample_period <= cfg.duration)
-        sampler->schedule(cfg.sample_period);
-    });
-    sampler->schedule(cfg.sample_period);
-  }
-  sim.run_until(cfg.duration);
+  sc.run(cfg.warmup, cfg.duration, [] {}, cfg.sample_period,
+         cfg.sample_period, [&] {
+           res.materialized_hiwater = std::max(
+               res.materialized_hiwater, sender.materialized_scoreboards());
+           res.sender_state_bytes_hiwater =
+               std::max(res.sender_state_bytes_hiwater, sender.state_bytes());
+         });
 
   // --- results ---------------------------------------------------------------
-  res.rla = make_row(sender->measurement(), cfg.duration);
-  for (auto& t : tcp_senders)
-    res.tcps.push_back(make_row(t->measurement(), cfg.duration));
+  Rows rows = sc.rows(cfg.duration);
+  res.rla = rows.rla.front();
+  res.tcps = std::move(rows.tcps);
   double drops = 0.0;
-  for (net::Link* l : bottleneck_links) drops += l->queue().stats().drop_rate();
+  for (const double d : rows.drop_rate) drops += d;
   res.bottleneck_drop_rate =
-      bottleneck_links.empty() ? 0.0
-                               : drops / static_cast<double>(bottleneck_links.size());
+      rows.drop_rate.empty()
+          ? 0.0
+          : drops / static_cast<double>(rows.drop_rate.size());
   std::uint64_t all_drops = 0;
   for (const auto& l : net.links()) all_drops += l->queue().stats().dropped;
-  for (net::Link* l : bottleneck_links) all_drops -= l->queue().stats().dropped;
+  for (net::Link* l : sc.bottlenecks) all_drops -= l->queue().stats().dropped;
   res.offpath_drops = all_drops;
-  res.acks = sender->acks_received();
+  res.acks = sender.acks_received();
   res.events = sim.scheduler().dispatched();
-  res.mcast_rexmits = sender->multicast_rexmits();
-  res.ucast_rexmits = sender->unicast_rexmits();
-  res.troubled_final = sender->num_trouble_rcvr();
-  res.active_final = sender->active_receivers();
-  res.watchdog_quarantines = sender->watchdog_quarantines();
-  res.sender_state_bytes = sender->state_bytes();
-  res.baseline_state_bytes = sender->baseline_state_bytes();
-  res.materialized_final = sender->materialized_scoreboards();
+  res.mcast_rexmits = sender.multicast_rexmits();
+  res.ucast_rexmits = sender.unicast_rexmits();
+  res.troubled_final = sender.num_trouble_rcvr();
+  res.active_final = sender.active_receivers();
+  res.watchdog_quarantines = sender.watchdog_quarantines();
+  res.sender_state_bytes = sender.state_bytes();
+  res.baseline_state_bytes = sender.baseline_state_bytes();
+  res.materialized_final = sender.materialized_scoreboards();
   res.materialized_hiwater =
       std::max(res.materialized_hiwater, res.materialized_final);
   res.sender_state_bytes_hiwater =

@@ -29,8 +29,7 @@
 #include "rla/rla_params.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/tcp_sender.hpp"
-#include "topo/flat_tree.hpp"  // GatewayType
-#include "topo/flow_rows.hpp"
+#include "topo/scenario.hpp"  // GatewayType
 
 namespace rlacast::topo {
 

@@ -1,38 +1,19 @@
 #include "topo/flat_tree.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <memory>
-#include <string>
 
-#include "net/network.hpp"
-#include "rla/rla_receiver.hpp"
-#include "rla/rla_sender.hpp"
-#include "sim/simulator.hpp"
-#include "tcp/tcp_receiver.hpp"
+#include "topo/scenario.hpp"
 
 namespace rlacast::topo {
-namespace {
-
-double pps_to_bps(double pps, std::int32_t pkt_bytes) {
-  return pps * static_cast<double>(pkt_bytes) * 8.0;
-}
-
-}  // namespace
 
 FlatTreeResult run_flat_tree(const FlatTreeConfig& cfg) {
   const std::size_t n_branches = cfg.branches.size();
-  sim::Simulator sim(cfg.seed);
-  if (cfg.instrument) cfg.instrument(sim);
-  net::Network net(sim);
-
-  const auto queue_kind = cfg.gateway == GatewayType::kRed
-                              ? net::QueueKind::kRed
-                              : net::QueueKind::kDropTail;
-  net::LinkConfig base;
-  base.queue = queue_kind;
-  base.buffer_pkts = cfg.buffer_pkts;
-  base.red = cfg.red;
-  base.delay = cfg.hop_delay;
+  Scenario sc(cfg.seed, cfg.instrument);
+  net::Network& net = sc.net;
+  const net::LinkConfig base =
+      gateway_link(cfg.gateway, cfg.buffer_pkts, cfg.red)
+          .with_delay(cfg.hop_delay);
 
   // --- nodes -----------------------------------------------------------------
   const net::NodeId s = net.add_node();
@@ -51,8 +32,7 @@ FlatTreeResult run_flat_tree(const FlatTreeConfig& cfg) {
   net.connect(s, g,
               base.with_bandwidth(shared ? shared_bps : cfg.fast_link_bps));
   double slowest_bps = shared ? shared_bps : cfg.fast_link_bps;
-  std::vector<net::Link*> bottleneck_links;
-  if (shared) bottleneck_links.push_back(net.link_between(s, g));
+  if (shared) sc.bottlenecks.push_back(net.link_between(s, g));
   for (std::size_t i = 0; i < n_branches; ++i) {
     const double mu_bps =
         shared ? cfg.fast_link_bps : pps_to_bps(cfg.branches[i].mu_pps, pkt_bytes);
@@ -61,116 +41,50 @@ FlatTreeResult run_flat_tree(const FlatTreeConfig& cfg) {
                 base.with_bandwidth(cfg.fast_link_bps)
                     .with_delay(cfg.hop_delay + cfg.branches[i].extra_delay));
     if (!shared) {
-      bottleneck_links.push_back(net.link_between(g, b[i]));
+      sc.bottlenecks.push_back(net.link_between(g, b[i]));
       slowest_bps = std::min(slowest_bps, mu_bps);
     }
   }
   net.build_routes();
+  sc.randomize_phase(
+      cfg.gateway, cfg.phase_randomization, cfg.rla, cfg.tcp, slowest_bps);
 
-  // Phase-effect elimination: uniform random sender overhead up to the
-  // bottleneck service time, drop-tail only (§3.1). Competing flows must
-  // share one jitter bound — unequal max_send_overhead quietly biases the
-  // fairness comparison — so the builder overrides both params from the
-  // same `overhead` below and rejects configs that pre-set them unequally.
-  assert(cfg.rla.max_send_overhead == cfg.tcp.max_send_overhead &&
-         "RLA and TCP flows must share the same send-jitter bound");
-  const sim::SimTime overhead =
-      (cfg.gateway == GatewayType::kDropTail && cfg.phase_randomization)
-          ? static_cast<double>(pkt_bytes) * 8.0 / slowest_bps
-          : 0.0;
+  if (cfg.with_multicast) sc.add_session(s, r, /*rcvr_port=*/2, cfg.rla);
 
-  // --- multicast session -----------------------------------------------------
-  const net::GroupId group = 1;
-  std::unique_ptr<rla::RlaSender> rla_sender;
-  std::vector<std::unique_ptr<rla::RlaReceiver>> rla_receivers;
-  if (cfg.with_multicast) {
-    rla::RlaParams rp = cfg.rla;
-    rp.max_send_overhead = overhead;
-    rla_sender = std::make_unique<rla::RlaSender>(net, s, /*port=*/1000, group,
-                                                  /*flow=*/1000, rp);
-    rla::RlaReceiverOptions ropts;
-    ropts.max_ack_overhead = overhead;
-    for (std::size_t i = 0; i < n_branches; ++i) {
-      net.join_group(group, s, r[i]);
-      const int idx = rla_sender->add_receiver(r[i], /*port=*/2);
-      rla_receivers.push_back(std::make_unique<rla::RlaReceiver>(
-          net, r[i], /*port=*/2, group, s, /*sender_port=*/1000, idx, ropts));
-    }
-  }
-
-  // --- competing TCP connections ---------------------------------------------
-  std::vector<std::unique_ptr<tcp::TcpSender>> tcp_senders;
-  std::vector<std::unique_ptr<tcp::TcpReceiver>> tcp_receivers;
+  // --- competing TCP connections: m_i per branch, ports from 101 -----------
+  std::vector<net::NodeId> tcp_dsts;
   std::vector<int> tcp_branch;
-  int flow = 1;
-  for (std::size_t i = 0; i < n_branches; ++i) {
+  for (std::size_t i = 0; i < n_branches; ++i)
     for (int k = 0; k < cfg.branches[i].n_tcp; ++k) {
-      const net::PortId sport = 100 + flow;
-      const net::PortId dport = 100 + flow;
-      tcp::TcpParams tp = cfg.tcp;
-      tp.max_send_overhead = overhead;
-      tcp_receivers.push_back(std::make_unique<tcp::TcpReceiver>(
-          net, r[i], dport, net::kAckPacketBytes, overhead));
-      tcp_senders.push_back(std::make_unique<tcp::TcpSender>(
-          net, s, sport, r[i], dport, flow, tp));
+      tcp_dsts.push_back(r[i]);
       tcp_branch.push_back(static_cast<int>(i));
-      ++flow;
     }
-  }
+  sc.add_tcps(s, tcp_dsts, /*first_port=*/101, cfg.tcp);
 
-  // --- fairness telemetry (inert unless cfg.fairness.window > 0) --------------
-  stats::FairnessMonitor fmon(sim, cfg.fairness);
-  if (fmon.enabled()) {
-    if (rla_sender) {
-      rla::RlaSender* m = rla_sender.get();
-      fmon.add_probe(
-          {"rla",
-           [m] { return static_cast<double>(m->measurement().total_acked()); },
-           [] { return false; }});
-    }
-    for (std::size_t i = 0; i < tcp_senders.size(); ++i) {
-      tcp::TcpSender* t = tcp_senders[i].get();
-      fmon.add_probe(
-          {"tcp-" + std::to_string(i),
-           [t] { return static_cast<double>(t->measurement().total_acked()); },
-           [t] { return t->app_limited(); }});
-    }
-  }
-
-  // --- start times: scheduled to desynchronize --------------------------------
-  auto starts = sim.rng_stream("start-jitter");
-  int start_idx = 0;
-  for (auto& t : tcp_senders)
-    t->start_at(workload::start_time(cfg.schedule, start_idx++, starts));
-  if (rla_sender)
-    rla_sender->start_at(workload::start_time(cfg.schedule, start_idx++, starts));
-
-  // --- run -------------------------------------------------------------------
-  sim.at(cfg.warmup, [&] {
-    if (rla_sender) rla_sender->measurement().begin_measurement(sim.now());
-    for (auto& t : tcp_senders) t->measurement().begin_measurement(sim.now());
-  });
-  sim.run_until(cfg.duration);
+  stats::FairnessMonitor fmon(sc.sim, cfg.fairness);
+  sc.add_fairness_probes(fmon, "rla");
+  sc.start(cfg.schedule, sc.rla);
+  sc.run(cfg.warmup, cfg.duration, [] {}, 0.0, 0.0, [] {});
 
   // --- results ---------------------------------------------------------------
   FlatTreeResult res;
-  if (rla_sender) {
-    res.rla = make_row(rla_sender->measurement(), cfg.duration);
+  Rows rows = sc.rows(cfg.duration);
+  if (!sc.rla.empty()) {
+    const rla::RlaSender& sender = *sc.rla.front();
+    res.rla = rows.rla.front();
     for (std::size_t i = 0; i < n_branches; ++i)
       res.rla_signals_per_receiver.push_back(
-          rla_sender->signals_from(static_cast<int>(i)));
-    res.rla_mcast_rexmits = static_cast<double>(rla_sender->multicast_rexmits());
-    res.rla_ucast_rexmits = static_cast<double>(rla_sender->unicast_rexmits());
-    res.num_troubled_final = rla_sender->num_trouble_rcvr();
+          sender.signals_from(static_cast<int>(i)));
+    res.rla_mcast_rexmits = static_cast<double>(sender.multicast_rexmits());
+    res.rla_ucast_rexmits = static_cast<double>(sender.unicast_rexmits());
+    res.num_troubled_final = sender.num_trouble_rcvr();
   }
-  for (auto& t : tcp_senders)
-    res.tcps.push_back(make_row(t->measurement(), cfg.duration));
+  res.tcps = std::move(rows.tcps);
   res.tcp_branch = std::move(tcp_branch);
   res.fairness_samples = fmon.samples();
   res.min_jain = fmon.min_jain();
   res.mean_jain = fmon.mean_jain();
-  for (net::Link* l : bottleneck_links)
-    res.bottleneck_drop_rate.push_back(l->queue().stats().drop_rate());
+  res.bottleneck_drop_rate = std::move(rows.drop_rate);
   return res;
 }
 

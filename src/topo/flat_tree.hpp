@@ -18,7 +18,7 @@
 #include "sim/time.hpp"
 #include "stats/fairness_monitor.hpp"
 #include "tcp/tcp_sender.hpp"
-#include "topo/flow_rows.hpp"
+#include "topo/scenario.hpp"
 #include "workload/workload.hpp"
 
 namespace rlacast::sim {
@@ -26,8 +26,6 @@ class Simulator;
 }
 
 namespace rlacast::topo {
-
-enum class GatewayType { kDropTail, kRed };
 
 struct FlatBranch {
   double mu_pps = 200.0;  // bottleneck capacity of this branch, packets/s

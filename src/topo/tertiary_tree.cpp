@@ -5,20 +5,13 @@
 #include <memory>
 
 #include "fault/fault.hpp"
-#include "net/network.hpp"
 #include "rla/rla_receiver.hpp"
-#include "rla/rla_sender.hpp"
-#include "sim/simulator.hpp"
 #include "sim/watchdog.hpp"
-#include "tcp/tcp_receiver.hpp"
 #include "topo/failover.hpp"
+#include "topo/scenario.hpp"
 
 namespace rlacast::topo {
 namespace {
-
-double pps_to_bps(double pps, std::int32_t pkt_bytes) {
-  return pps * static_cast<double>(pkt_bytes) * 8.0;
-}
 
 struct LinkRef {
   net::NodeId from;
@@ -32,16 +25,10 @@ struct LinkRef {
 /// index for rejoins), so churn events stay on the scheduler's inline
 /// callback path.
 struct ChurnDriver {
-  sim::Simulator& sim;
-  net::Network& net;
-  rla::RlaSender& sender;
-  std::vector<std::unique_ptr<rla::RlaReceiver>>& owned;
+  Scenario& sc;
   std::vector<rla::RlaReceiver*>& by_idx;  // census idx -> receiver
   const std::array<net::NodeId, 27>& leaf;
   net::NodeId src;
-  net::GroupId group;
-  net::PortId sender_port;
-  rla::RlaReceiverOptions ropts;  // template for rejoining receivers
   double mean_interval;
   sim::SimTime rejoin_after;
   sim::Rng rng;
@@ -51,26 +38,17 @@ struct ChurnDriver {
   std::uint64_t joins = 0;
   sim::Timer timer;
 
-  ChurnDriver(sim::Simulator& s_, net::Network& n_, rla::RlaSender& snd,
-              std::vector<std::unique_ptr<rla::RlaReceiver>>& own,
-              std::vector<rla::RlaReceiver*>& idx,
+  ChurnDriver(Scenario& sc_, std::vector<rla::RlaReceiver*>& idx,
               const std::array<net::NodeId, 27>& lf, net::NodeId src_,
-              net::GroupId g, net::PortId sp, rla::RlaReceiverOptions ro,
               double mean, sim::SimTime rejoin)
-      : sim(s_),
-        net(n_),
-        sender(snd),
-        owned(own),
+      : sc(sc_),
         by_idx(idx),
         leaf(lf),
         src(src_),
-        group(g),
-        sender_port(sp),
-        ropts(ro),
         mean_interval(mean),
         rejoin_after(rejoin),
-        rng(s_.rng_stream("churn")),
-        timer(s_, [this] { on_fire(); }) {
+        rng(sc_.sim.rng_stream("churn")),
+        timer(sc_.sim, [this] { on_fire(); }) {
     for (int i = 0; i < 27; ++i) member[static_cast<std::size_t>(i)] = i;
     timer.schedule(rng.exponential(mean_interval));
   }
@@ -81,11 +59,11 @@ struct ChurnDriver {
     if (idx >= 0) {
       // Leave: the sender stops waiting for this member; the old receiver
       // object is silenced so in-flight data stops generating stale ACKs.
-      sender.remove_receiver(idx);
+      sc.rla.front()->remove_receiver(idx);
       by_idx[static_cast<std::size_t>(idx)]->set_silenced(true);
       member[static_cast<std::size_t>(li)] = -1;
       ++leaves;
-      sim.after(rejoin_after, [this, li] { rejoin(li); });
+      sc.sim.after(rejoin_after, [this, li] { rejoin(li); });
     }
     timer.schedule(rng.exponential(mean_interval));
   }
@@ -93,15 +71,10 @@ struct ChurnDriver {
   void rejoin(int li) {
     // Fresh late joiner on a fresh port (the departed incarnation keeps its
     // old port attached; reusing it would alias two agents).
-    const net::NodeId node = leaf[static_cast<std::size_t>(li)];
-    const net::PortId port = next_port++;
-    const int idx = sender.add_receiver(node, port);
-    rla::RlaReceiverOptions ro = ropts;
-    ro.resume_at_first_packet = true;
-    owned.push_back(std::make_unique<rla::RlaReceiver>(
-        net, node, port, group, src, sender_port, idx, ro));
-    by_idx.push_back(owned.back().get());
-    member[static_cast<std::size_t>(li)] = idx;
+    rla::RlaReceiver& r = sc.add_member(
+        0, src, leaf[static_cast<std::size_t>(li)], next_port++, /*late=*/true);
+    by_idx.push_back(&r);
+    member[static_cast<std::size_t>(li)] = r.id();
     ++joins;
   }
 };
@@ -129,9 +102,9 @@ std::string tree_case_name(TreeCase c) {
 }
 
 TreeResult run_tertiary_tree(const TreeConfig& cfg) {
-  sim::Simulator sim(cfg.seed);
-  if (cfg.instrument) cfg.instrument(sim);
-  net::Network net(sim);
+  Scenario sc(cfg.seed, cfg.instrument);
+  sim::Simulator& sim = sc.sim;
+  net::Network& net = sc.net;
 
   // --- nodes -----------------------------------------------------------------
   const net::NodeId s = net.add_node();
@@ -187,17 +160,9 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
     return l.level == 1 ? 27 : l.level == 2 ? 9 : l.level == 3 ? 3 : 1;
   };
 
-  const std::int32_t pkt_bytes = cfg.rla.packet_bytes;
-  const auto queue_kind = cfg.gateway == GatewayType::kRed
-                              ? net::QueueKind::kRed
-                              : net::QueueKind::kDropTail;
-  net::LinkConfig base;
-  base.queue = queue_kind;
-  base.buffer_pkts = cfg.buffer_pkts;
-  base.red = cfg.red;
-
+  const net::LinkConfig base =
+      gateway_link(cfg.gateway, cfg.buffer_pkts, cfg.red);
   double slowest_bps = cfg.fast_link_bps;
-  std::vector<net::Link*> bottleneck_links;
   for (const auto& lr : link_refs) {
     sim::SimTime hop_delay =
         lr.level == 4 ? cfg.leaf_delay : cfg.upper_delay;
@@ -212,13 +177,14 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
       // so the +1 stays +1 regardless of session count.
       const double cap_pps =
           cfg.share_pps * static_cast<double>(tcp_flows_through(lr) + 1);
-      c.bandwidth_bps = pps_to_bps(cap_pps, pkt_bytes);
+      c.bandwidth_bps = pps_to_bps(cap_pps, cfg.rla.packet_bytes);
       slowest_bps = std::min(slowest_bps, c.bandwidth_bps);
     } else {
       c.bandwidth_bps = cfg.fast_link_bps;
     }
     net.connect(lr.from, lr.to, c);
-    if (is_congested(lr)) bottleneck_links.push_back(net.link_between(lr.from, lr.to));
+    if (is_congested(lr))
+      sc.bottlenecks.push_back(net.link_between(lr.from, lr.to));
   }
 
   // Backup-parent provisioning (cfg.backup_paths): fast drop-tail duplexes
@@ -233,60 +199,30 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
     net::LinkConfig bc = base.with_delay(cfg.upper_delay);
     bc.queue = net::QueueKind::kDropTail;
     bc.bandwidth_bps = cfg.fast_link_bps;
-    for (int j = 0; j < 3; ++j) {
-      const net::NodeId bp = g2[static_cast<std::size_t>((j + 1) % 3)];
-      auto d = net.connect(bp, g2[static_cast<std::size_t>(j)], bc);
+    auto add_backup = [&](net::NodeId child, net::NodeId parent,
+                          net::NodeId backup) {
+      const auto d = net.connect(backup, child, bc);
       d.forward->set_routing_enabled(false);
       d.reverse->set_routing_enabled(false);
-      backup_routes.push_back({g2[static_cast<std::size_t>(j)], g1, bp});
-    }
-    for (int i = 0; i < 9; ++i) {
-      const net::NodeId bp = g2[static_cast<std::size_t>((i / 3 + 1) % 3)];
-      auto d = net.connect(bp, g3[static_cast<std::size_t>(i)], bc);
-      d.forward->set_routing_enabled(false);
-      d.reverse->set_routing_enabled(false);
-      backup_routes.push_back(
-          {g3[static_cast<std::size_t>(i)], g2[static_cast<std::size_t>(i / 3)], bp});
-    }
+      backup_routes.push_back({child, parent, backup});
+    };
+    for (std::size_t j = 0; j < 3; ++j) add_backup(g2[j], g1, g2[(j + 1) % 3]);
+    for (std::size_t i = 0; i < 9; ++i)
+      add_backup(g3[i], g2[i / 3], g2[(i / 3 + 1) % 3]);
   }
   net.build_routes();
-
-  // Competing flows must share one jitter bound (see the cross-referenced
-  // doc comments on RlaParams/TcpParams::max_send_overhead): the builder
-  // overrides both from the same `overhead`, and rejects configs that
-  // pre-set them unequally.
-  assert(cfg.rla.max_send_overhead == cfg.tcp.max_send_overhead &&
-         "RLA and TCP flows must share the same send-jitter bound");
-  const sim::SimTime overhead =
-      (cfg.gateway == GatewayType::kDropTail && cfg.phase_randomization)
-          ? static_cast<double>(pkt_bytes) * 8.0 / slowest_bps
-          : 0.0;
+  const sim::SimTime overhead = sc.randomize_phase(
+      cfg.gateway, cfg.phase_randomization, cfg.rla, cfg.tcp, slowest_bps);
 
   // --- multicast sessions ------------------------------------------------------
-  std::vector<std::unique_ptr<rla::RlaSender>> rla_senders;
-  std::vector<std::unique_ptr<rla::RlaReceiver>> rla_receivers;
   for (int sess = 0; sess < cfg.multicast_sessions; ++sess) {
-    const net::GroupId group = 1 + sess;
-    const net::PortId sender_port = 1000 + sess;
-    rla::RlaParams rp = cfg.rla;
-    rp.max_send_overhead = overhead;
-    auto sender = std::make_unique<rla::RlaSender>(
-        net, s, sender_port, group, /*flow=*/1000 + sess, rp);
-    rla::RlaReceiverOptions ropts;
-    ropts.max_ack_overhead = overhead;
-    for (std::size_t i = 0; i < n_rcvrs; ++i) {
-      net.join_group(group, s, receivers[i]);
-      const net::PortId rport = 10 + sess;
-      const int idx = sender->add_receiver(receivers[i], rport);
-      // Structural-degradation grouping: leaf i hangs off G3 gateway i/3,
-      // gateway receiver i (>= 27) IS G3 gateway i-27.  No-op (and no
-      // state) unless cfg.rla.degrade.enabled.
-      sender->set_subtree(idx, i < 27 ? static_cast<int>(i) / 3
-                                      : static_cast<int>(i) - 27);
-      rla_receivers.push_back(std::make_unique<rla::RlaReceiver>(
-          net, receivers[i], rport, group, s, sender_port, idx, ropts));
-    }
-    rla_senders.push_back(std::move(sender));
+    rla::RlaSender& sender =
+        sc.add_session(s, receivers, /*rcvr_port=*/10 + sess, cfg.rla);
+    // Structural-degradation grouping: leaf i hangs off G3 gateway i/3,
+    // gateway receiver i (>= 27) IS G3 gateway i-27.  No-op (and no
+    // state) unless cfg.rla.degrade.enabled.
+    for (int i = 0; i < static_cast<int>(n_rcvrs); ++i)
+      sender.set_subtree(i, i < 27 ? i / 3 : i - 27);
   }
 
   // --- robustness layer: faults, churn, crash, watchdog -----------------------
@@ -294,7 +230,7 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
   // order, which churn rejoins preserve).
   std::vector<rla::RlaReceiver*> sess0_rcvr_by_idx;
   for (std::size_t i = 0; i < n_rcvrs; ++i)
-    sess0_rcvr_by_idx.push_back(rla_receivers[i].get());
+    sess0_rcvr_by_idx.push_back(sc.rla_receivers[i].get());
 
   fault::FaultPlan fault_plan;
   // Forward entries first, reverse entries after: a leaf_fault-only config
@@ -309,22 +245,14 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
   // (crash) or primary uplink (partition); merged additively at arm().
   for (const auto& so : cfg.partitions) {
     assert((so.level == 2 || so.level == 3) && "SubtreeOutage.level is 2 or 3");
-    if (so.level == 3) {
-      assert(so.index >= 1 && so.index <= 9);
-      const net::NodeId root = g3[static_cast<std::size_t>(so.index - 1)];
-      if (so.router_crash)
-        fault_plan.fail_node(root, so.start, so.end);
-      else
-        fault_plan.partition(g2[static_cast<std::size_t>((so.index - 1) / 3)],
-                             root, so.start, so.end);
-    } else {
-      assert(so.index >= 1 && so.index <= 3);
-      const net::NodeId root = g2[static_cast<std::size_t>(so.index - 1)];
-      if (so.router_crash)
-        fault_plan.fail_node(root, so.start, so.end);
-      else
-        fault_plan.partition(g1, root, so.start, so.end);
-    }
+    assert(so.index >= 1 && so.index <= (so.level == 3 ? 9 : 3));
+    const auto i = static_cast<std::size_t>(so.index - 1);
+    const net::NodeId root = so.level == 3 ? g3[i] : g2[i];
+    if (so.router_crash)
+      fault_plan.fail_node(root, so.start, so.end);
+    else
+      fault_plan.partition(so.level == 3 ? g2[i / 3] : g1, root, so.start,
+                           so.end);
   }
   if (!fault_plan.empty()) fault_plan.arm(net);
 
@@ -347,14 +275,10 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
   }
 
   std::unique_ptr<ChurnDriver> churn;
-  if (cfg.churn_mean_interval > 0.0) {
-    rla::RlaReceiverOptions churn_ropts;
-    churn_ropts.max_ack_overhead = overhead;
-    churn = std::make_unique<ChurnDriver>(
-        sim, net, *rla_senders.front(), rla_receivers, sess0_rcvr_by_idx,
-        leaf, s, /*group=*/1, /*sender_port=*/1000, churn_ropts,
-        cfg.churn_mean_interval, cfg.churn_rejoin_after);
-  }
+  if (cfg.churn_mean_interval > 0.0)
+    churn = std::make_unique<ChurnDriver>(sc, sess0_rcvr_by_idx, leaf, s,
+                                          cfg.churn_mean_interval,
+                                          cfg.churn_rejoin_after);
 
   if (cfg.silent_receiver >= 0 &&
       static_cast<std::size_t>(cfg.silent_receiver) < n_rcvrs) {
@@ -367,8 +291,8 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
   std::unique_ptr<sim::Watchdog> watchdog;
   if (cfg.watchdog) {
     watchdog = std::make_unique<sim::Watchdog>(sim, 1.0);
-    watchdog->add_check("rla-invariants", [&rla_senders]() -> std::string {
-      for (const auto& m : rla_senders) {
+    watchdog->add_check("rla-invariants", [&rla = sc.rla]() -> std::string {
+      for (const auto& m : rla) {
         if (!(m->cwnd() >= 1.0) || m->cwnd() > m->params().max_cwnd)
           return "cwnd out of bounds: " + std::to_string(m->cwnd());
         if (m->max_reach_all() > m->next_seq())
@@ -383,11 +307,10 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
   }
 
   // --- background traffic: one source from S to every LEAF --------------------
-  // kFtp (default) and kOnOff build the paper's infinite FTP connections;
-  // kWeb replaces them with WebFlowSources; kOnOff additionally lays one
-  // OnOffSource of datagram cross-traffic over every leaf.
-  std::vector<std::unique_ptr<tcp::TcpSender>> tcp_senders;
-  std::vector<std::unique_ptr<tcp::TcpReceiver>> tcp_receivers;
+  // kFtp (default) and kOnOff build the paper's infinite FTP connections
+  // (ports from 100); kWeb replaces them with WebFlowSources; kOnOff
+  // additionally lays one OnOffSource of datagram cross-traffic over every
+  // leaf.
   std::vector<std::unique_ptr<workload::WebFlowSource>> web_sources;
   std::vector<std::unique_ptr<workload::OnOffSource>> onoff_sources;
   std::vector<std::unique_ptr<workload::PacketSink>> onoff_sinks;
@@ -403,15 +326,7 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
           "workload-web-" + std::to_string(i), wc));
     }
   } else {
-    for (std::size_t i = 0; i < leaf.size(); ++i) {
-      const net::PortId port = 100 + static_cast<net::PortId>(i);
-      tcp::TcpParams tp = cfg.tcp;
-      tp.max_send_overhead = overhead;
-      tcp_receivers.push_back(std::make_unique<tcp::TcpReceiver>(
-          net, leaf[i], port, net::kAckPacketBytes, overhead));
-      tcp_senders.push_back(std::make_unique<tcp::TcpSender>(
-          net, s, port, leaf[i], port, static_cast<net::FlowId>(i + 1), tp));
-    }
+    sc.add_tcps(s, leaf, /*first_port=*/100, cfg.tcp);
   }
   if (cfg.traffic.kind == workload::TrafficKind::kOnOff) {
     for (std::size_t i = 0; i < leaf.size(); ++i) {
@@ -426,19 +341,8 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
 
   // --- fairness telemetry (inert unless cfg.fairness.window > 0) --------------
   stats::FairnessMonitor fmon(sim, cfg.fairness);
+  sc.add_fairness_probes(fmon, "rla0");
   if (fmon.enabled()) {
-    rla::RlaSender* sess0 = rla_senders.front().get();
-    fmon.add_probe(
-        {"rla0",
-         [sess0] { return static_cast<double>(sess0->measurement().total_acked()); },
-         [] { return false; }});  // infinite multicast source
-    for (std::size_t i = 0; i < tcp_senders.size(); ++i) {
-      tcp::TcpSender* t = tcp_senders[i].get();
-      fmon.add_probe(
-          {"tcp-" + std::to_string(i),
-           [t] { return static_cast<double>(t->measurement().total_acked()); },
-           [t] { return t->app_limited(); }});
-    }
     for (std::size_t i = 0; i < web_sources.size(); ++i) {
       workload::WebFlowSource* w = web_sources[i].get();
       fmon.add_probe({"web-" + std::to_string(i),
@@ -447,45 +351,30 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
     }
   }
 
-  auto starts = sim.rng_stream("start-jitter");
-  int start_idx = 0;
-  for (auto& t : tcp_senders)
-    t->start_at(workload::start_time(cfg.traffic.schedule, start_idx++, starts));
-  for (auto& w : web_sources)
-    w->start_at(workload::start_time(cfg.traffic.schedule, start_idx++, starts));
-  for (auto& o : onoff_sources)
-    o->start_at(workload::start_time(cfg.traffic.schedule, start_idx++, starts));
-  for (auto& m : rla_senders)
-    m->start_at(workload::start_time(cfg.traffic.schedule, start_idx++, starts));
+  sc.start(cfg.traffic.schedule, web_sources, onoff_sources, sc.rla);
 
   TreeResult res;
   std::vector<std::int64_t> web_delivered_at_warmup(web_sources.size(), 0);
-  sim.at(cfg.warmup, [&] {
-    for (auto& m : rla_senders) m->measurement().begin_measurement(sim.now());
-    for (auto& t : tcp_senders) t->measurement().begin_measurement(sim.now());
-    for (std::size_t i = 0; i < web_sources.size(); ++i)
-      web_delivered_at_warmup[i] = web_sources[i]->delivered_total();
-  });
-  std::unique_ptr<sim::Timer> sampler;
-  if (cfg.window_sample_period > 0.0) {
-    sampler = std::make_unique<sim::Timer>(sim, [&] {
-      std::vector<double> row;
-      row.reserve(rla_senders.size());
-      for (auto& m : rla_senders) row.push_back(m->cwnd());
-      res.window_samples.push_back(std::move(row));
-      if (sim.now() + cfg.window_sample_period <= cfg.duration)
-        sampler->schedule(cfg.window_sample_period);
-    });
-    sampler->schedule_at(cfg.warmup);
-  }
-  sim.run_until(cfg.duration);
+  sc.run(
+      cfg.warmup, cfg.duration,
+      [&] {
+        for (std::size_t i = 0; i < web_sources.size(); ++i)
+          web_delivered_at_warmup[i] = web_sources[i]->delivered_total();
+      },
+      cfg.warmup, cfg.window_sample_period,
+      [&] {
+        std::vector<double> row;
+        row.reserve(sc.rla.size());
+        for (auto& m : sc.rla) row.push_back(m->cwnd());
+        res.window_samples.push_back(std::move(row));
+      });
 
   // --- results -------------------------------------------------------------
-  for (auto& m : rla_senders) res.rla.push_back(make_row(m->measurement(), cfg.duration));
-  for (auto& t : tcp_senders) {
-    res.tcps.push_back(make_row(t->measurement(), cfg.duration));
-    res.tcp_signals.push_back(t->measurement().congestion_signals());
-  }
+  Rows rows = sc.rows(cfg.duration);
+  res.rla = std::move(rows.rla);
+  res.tcps = std::move(rows.tcps);
+  for (const FlowRow& row : res.tcps)
+    res.tcp_signals.push_back(row.cong_signals);
   // kWeb: synthesize one aggregate row per leaf "user" so worst_tcp()/
   // best_tcp() and the figure plumbing keep working. Throughput is the
   // post-warmup delivered rate; the counters sum over every fetch.
@@ -525,7 +414,7 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
   res.fairness_samples = fmon.samples();
   res.min_jain = fmon.min_jain();
   res.mean_jain = fmon.mean_jain();
-  auto& first = *rla_senders.front();
+  auto& first = *sc.rla.front();
   for (std::size_t i = 0; i < n_rcvrs; ++i)
     res.rla_signals_per_receiver.push_back(
         first.signals_from(static_cast<int>(i)));
@@ -579,14 +468,12 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
     while (at != receivers[i]) {
       net::Link* hop = net.node(at).route(receivers[i]);
       assert(hop != nullptr);
-      for (const auto& lr : link_refs)
-        if (lr.from == at && lr.to == hop->to() && is_congested(lr))
-          res.receiver_congested[i] = true;
+      if (std::ranges::find(sc.bottlenecks, hop) != sc.bottlenecks.end())
+        res.receiver_congested[i] = true;
       at = hop->to();
     }
   }
-  for (net::Link* l : bottleneck_links)
-    res.bottleneck_drop_rate.push_back(l->queue().stats().drop_rate());
+  res.bottleneck_drop_rate = std::move(rows.drop_rate);
   return res;
 }
 

@@ -24,8 +24,7 @@
 #include "sim/time.hpp"
 #include "stats/fairness_monitor.hpp"
 #include "tcp/tcp_sender.hpp"
-#include "topo/flat_tree.hpp"  // GatewayType
-#include "topo/flow_rows.hpp"
+#include "topo/scenario.hpp"  // GatewayType
 #include "workload/workload.hpp"
 
 namespace rlacast::sim {

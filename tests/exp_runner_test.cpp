@@ -1,8 +1,9 @@
 // Tests for the exp/ experiment-runner subsystem: grid expansion order,
 // deterministic seed derivation (thread-count and order independent),
 // jobs=1 vs jobs=8 bit-identical results, exception capture as error rows,
-// the sandbox-backed per-run timeout, replicate aggregation math, and the
-// results.json emitter.
+// the sandbox-backed per-run timeout, replicate aggregation math, the
+// results.json emitter, run file stems, and the bench flags that configure
+// the runner.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include <fcntl.h>
 #include <sys/stat.h>
 
+#include "common.hpp"
 #include "exp/runner.hpp"
 #include "exp/results.hpp"
 #include "exp/spec.hpp"
@@ -55,6 +57,35 @@ TEST(ExpSpec, PointRoundTripsAndFormatsId) {
   EXPECT_EQ(p.get_int("absent", -1), -1);
   p.set("gateway", "droptail");  // overwrite keeps position
   EXPECT_EQ(p.id(), "gateway=droptail,share=100,n=27");
+}
+
+TEST(ExpSpec, FileStemKeepsOnlyPortableCharacters) {
+  exp::RunSpec spec;
+  spec.name = "L4 some";
+  spec.point.set("gw", "red").set("share", 12.5);
+  spec.replicate = 3;
+  EXPECT_EQ(spec.id(), "L4 some/gw=red,share=12.5#3");
+  // '/', ' ', '=', ',' and '#' become '_'; letters, digits, '.', '-' and
+  // '_' stay, so crash reports and journals share one flat-directory stem.
+  EXPECT_EQ(spec.file_stem(), "L4_some_gw_red_share_12.5_3");
+  spec.name = "a-b_c.d";
+  spec.point = {};
+  EXPECT_EQ(spec.file_stem(), "a-b_c.d_3");
+}
+
+TEST(BenchOptions, IsolateLimitsReachRunsForkedByTimeout) {
+  // --timeout forks every run, so the rlimits must reach those children
+  // too, not only --isolate ones.
+  const char* argv[] = {"bench",         "--timeout", "30", "--isolate-cpu",
+                        "2",             "--isolate-mem", "512"};
+  const bench::Options opt = bench::parse_options(
+      static_cast<int>(std::size(argv)), const_cast<char**>(argv));
+  const exp::RunnerOptions r = opt.runner_options();
+  EXPECT_FALSE(r.isolate);
+  EXPECT_DOUBLE_EQ(r.timeout_seconds, 30.0);
+  EXPECT_DOUBLE_EQ(r.isolate_cpu_seconds, 2.0);
+  EXPECT_EQ(r.isolate_mem_mb, 512u);
+  EXPECT_TRUE(r.crash_dir.empty());  // crash reports stay an --isolate feature
 }
 
 TEST(ExpSpec, GridExpansionIsCasesMajorReplicatesMinor) {

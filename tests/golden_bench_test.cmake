@@ -1,7 +1,7 @@
 # Golden-output regression guard (ctest script mode).
 #
-# Runs one figure bench in --smoke mode, hashes its stdout, and compares
-# against the checked-in SHA-256 in tests/golden/. The congestion-control
+# Runs one figure bench (or tests/topo_golden) in --smoke mode, hashes its
+# stdout, and compares against the checked-in SHA-256 in tests/golden/. The congestion-control
 # core refactor promised byte-identical bench output; this script turns
 # that promise from a CHANGES.md claim into a CI-enforced property — any
 # change to FP arithmetic order, RNG stream consumption, or stats note

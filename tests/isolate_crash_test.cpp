@@ -175,6 +175,8 @@ TEST(IsolateRunner, CrashedRunIsContainedAndSweepCompletes) {
   EXPECT_TRUE(boom.crashed);
   EXPECT_EQ(boom.term_signal, SIGSEGV);
   ASSERT_FALSE(boom.crash_report.empty());
+  EXPECT_EQ(boom.crash_report,
+            crash_dir + "/" + boom.spec.file_stem() + ".crash.txt");
 
   const std::string report = read_file(boom.crash_report);
   EXPECT_NE(report.find("crash report: boom/mode=segv#0"), std::string::npos)

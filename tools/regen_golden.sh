@@ -8,10 +8,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 build=${1:-build}
 
-benches=(bench_fig7_droptail bench_fig8_signals bench_fig9_red
-         bench_fig10_rtt bench_multisession bench_workload)
-for b in "${benches[@]}"; do
-  bin="$build/bench/$b"
+# dir/name of every binary whose --smoke stdout is pinned; the hash lands
+# in tests/golden/<name>.sha256.
+goldens=(bench/bench_fig7_droptail bench/bench_fig8_signals
+         bench/bench_fig9_red bench/bench_fig10_rtt bench/bench_multisession
+         bench/bench_workload tests/topo_golden)
+for g in "${goldens[@]}"; do
+  b=${g##*/}
+  bin="$build/$g"
   if [[ ! -x "$bin" ]]; then
     echo "error: $bin not built (cmake --build $build)" >&2
     exit 1
