@@ -47,7 +47,8 @@ int main(int argc, char** argv) {
     session->finish();
     exp::Metrics m;
     for (std::size_t i = 0; i < res.rla.size(); ++i) {
-      const std::string p = "s" + std::to_string(i + 1);
+      std::string p = "s";
+      p += std::to_string(i + 1);
       const auto& r = res.rla[i];
       m.set(p + ".thrput_pps", r.throughput_pps);
       m.set(p + ".cwnd", r.avg_cwnd);
@@ -77,7 +78,8 @@ int main(int argc, char** argv) {
   stats::Table t({"session", "thrput (pkt/s)", "cwnd", "RTT (s)",
                   "#cong signals", "#wnd cut"});
   for (int i = 1; i <= 2; ++i) {
-    const std::string p = "s" + std::to_string(i);
+    std::string p = "s";
+    p += std::to_string(i);
     t.add_row({std::to_string(i),
                stats::Table::num(rep0->metrics.get(p + ".thrput_pps")),
                stats::Table::num(rep0->metrics.get(p + ".cwnd")),

@@ -241,8 +241,9 @@ class TroubledCensus : public replay::Snapshotable {
   /// Resident bytes of the census (SoA arrays + reservoir + scratch).
   std::size_t state_bytes() const;
 
-  /// Checkpoint state: census totals plus per-receiver signal counts and
-  /// troubled/excluded flags (the inputs to every pthresh decision).
+  /// Checkpoint state: census totals plus the troubled flag of every
+  /// member (the inputs to every pthresh decision), the latter as an
+  /// FNV-1a hash of the whole troubled column.
   replay::Snapshot snapshot_state() const override {
     replay::Snapshot s;
     s.put("receivers", core_.size());
@@ -250,13 +251,13 @@ class TroubledCensus : public replay::Snapshotable {
     s.put("num_troubled", num_troubled_);
     s.put("total_signals", total_signals_);
     std::uint64_t excluded_n = 0;
-    std::uint64_t troubled_mask = 0;
+    std::uint64_t troubled_hash = 14695981039346656037ULL;
     for (std::size_t i = 0; i < core_.size(); ++i) {
       if (core_.excluded(static_cast<int>(i))) ++excluded_n;
-      if (core_.troubled[i] != 0 && i < 64) troubled_mask |= (1ULL << i);
+      troubled_hash = (troubled_hash ^ core_.troubled[i]) * 1099511628211ULL;
     }
     s.put("excluded", excluded_n);
-    s.put("troubled_mask", troubled_mask);
+    s.put("troubled_hash", troubled_hash);
     s.put("quarantines", quarantines_);
     return s;
   }

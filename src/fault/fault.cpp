@@ -123,7 +123,7 @@ void FaultPlan::resolve_structural(net::Network& net) {
   }
   for (const Partition& p : partitions_) {
     bool touched = false;
-    for (const auto [from, to] : {std::pair{p.a, p.b}, std::pair{p.b, p.a}}) {
+    for (const auto& [from, to] : {std::pair{p.a, p.b}, std::pair{p.b, p.a}}) {
       if (net.link_between(from, to) == nullptr) continue;
       entry_for(from, to).imp.outages.push_back(Outage{p.start, p.end});
       touched = true;

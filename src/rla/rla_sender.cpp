@@ -79,9 +79,7 @@ replay::Snapshot RlaSender::snapshot_state() const {
 int RlaSender::add_receiver(net::NodeId node, net::PortId port) {
   // Late join: the newcomer's sequence space starts at the send frontier —
   // it is not owed data transmitted before it existed, and it must not drag
-  // max_reach_all below the already-acknowledged prefix. (Beyond 64
-  // receivers, per-packet RTT coverage masks saturate and mark_covered
-  // skips the extra indices; everything else scales.)
+  // max_reach_all below the already-acknowledged prefix.
   const int idx = table_.add(node, port, next_seq_, sim_.now());
   const int census_idx = census_.add_receiver();
   (void)census_idx;
@@ -230,14 +228,16 @@ void RlaSender::on_ack(const net::Packet& ack, int idx) {
     }
   }
 
+  const net::SeqNum una_before = table_.una(idx);
   if (table_.advance(idx, ack.ack) > 0) table_.rtt_reset_backoff(idx);
+  int newly_sacked = 0;
   if (table_.materialized(idx)) {
-    table_.board(idx).apply_sack(ack.sack.data(), ack.n_sack);
+    newly_sacked = table_.board(idx).apply_sack(ack.sack.data(), ack.n_sack);
   } else if (ack.n_sack > 0 &&
              table_.sack_effective(idx, ack.sack.data(), ack.n_sack)) {
     // First evidence this receiver diverged from the healthy prefix: give
     // it a real scoreboard.
-    ensure_board(idx).apply_sack(ack.sack.data(), ack.n_sack);
+    newly_sacked = ensure_board(idx).apply_sack(ack.sack.data(), ack.n_sack);
   }
   // Cum-withholding guard (see FrontierWatchdogParams::max_sack_lead): a
   // receiver SACKing far ahead of its frozen cumulative point starves
@@ -256,7 +256,7 @@ void RlaSender::on_ack(const net::Packet& ack, int idx) {
       return;
     }
   }
-  mark_covered(ack, idx);
+  sample_covered(ack, una_before, newly_sacked > 0);
   const int new_losses = table_.detect_losses(idx, params_.dupthresh);
 
   // Rule 2: a new congestion period only starts beyond 2*srtt_i of the last
@@ -333,40 +333,23 @@ void RlaSender::handle_congestion_signal(int idx) {
   }
 }
 
-std::uint64_t RlaSender::active_mask() const {
-  std::uint64_t m = 0;
-  for (std::size_t i = 0; i < table_.size() && i < 64; ++i)
-    if (!census_.excluded(static_cast<int>(i))) m |= 1ULL << i;
-  return m;
-}
-
-void RlaSender::mark_one(net::SeqNum seq, SendInfo& info, std::uint64_t bit) {
-  if (info.rtt_sampled) return;
-  info.acked_mask |= bit;
-  const std::uint64_t need = active_mask();
-  if ((info.acked_mask & need) == need) {
-    info.rtt_sampled = true;
-    if (!info.ever_rexmitted)
-      meas_.note_rtt(sim_.now(), sim_.now() - info.first_sent);
-  }
-  (void)seq;
-}
-
-void RlaSender::mark_covered(const net::Packet& ack, int idx) {
-  if (idx >= 64) return;  // RTT sampling supports the paper-scale sessions
-  const std::uint64_t bit = 1ULL << idx;
-  // Cumulative region: send_info_ only holds seqs >= max_reach_all_, so the
-  // walk below touches the not-yet-reached window prefix only.
-  for (auto it = send_info_.begin();
-       it != send_info_.end() && it->first < ack.ack; ++it)
-    mark_one(it->first, it->second, bit);
-  for (int b = 0; b < ack.n_sack; ++b) {
-    auto it = send_info_.lower_bound(ack.sack[static_cast<std::size_t>(b)].lo);
-    for (; it != send_info_.end() &&
-           it->first < ack.sack[static_cast<std::size_t>(b)].hi;
-         ++it)
-      mark_one(it->first, it->second, bit);
-  }
+void RlaSender::sample_covered(const net::Packet& ack,
+                               net::SeqNum una_before, bool newly_sacked) {
+  const sim::SimTime now = sim_.now();
+  auto sample = [&](net::SeqNum lo, net::SeqNum hi) {
+    for (auto it = send_info_.lower_bound(lo);
+         it != send_info_.end() && it->first < hi; ++it) {
+      SendInfo& info = it->second;
+      if (info.rtt_sampled || table_.any_missing(census_, it->first)) continue;
+      info.rtt_sampled = true;
+      if (!info.ever_rexmitted) meas_.note_rtt(now, now - info.first_sent);
+    }
+  };
+  sample(una_before, ack.ack);
+  if (!newly_sacked) return;
+  for (int b = 0; b < ack.n_sack; ++b)
+    sample(ack.sack[static_cast<std::size_t>(b)].lo,
+           ack.sack[static_cast<std::size_t>(b)].hi);
 }
 
 void RlaSender::advance_reach_all() {
@@ -380,9 +363,8 @@ void RlaSender::advance_reach_all() {
   awnd_ += params_.awnd_gain * (win_.cwnd() - awnd_);
   meas_.note_acked(m);
 
-  // RTT sampling happens in mark_one() the instant the last receiver's ACK
-  // covers a packet; here the bookkeeping below the new reach point is
-  // simply discarded.
+  // RTT samples were taken in sample_covered(); the bookkeeping below the
+  // new reach point is simply discarded.
   send_info_.erase(send_info_.begin(), send_info_.lower_bound(reach));
   max_reach_all_ = reach;
   last_frontier_progress_ = sim_.now();

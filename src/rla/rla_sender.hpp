@@ -158,19 +158,20 @@ class RlaSender final : public net::Agent, public replay::Snapshotable {
     /// rule and the repair rate-limit see the same marks the historical
     /// per-receiver boards held.
     bool rexmitted_for_all = false;
-    /// Bit i set once receiver i has acknowledged the packet (cumulatively
-    /// or selectively). The per-packet RLA RTT — time until the LAST
-    /// receiver's ACK, the quantity eq. (5) bounds — is sampled the moment
-    /// coverage completes, so head-of-line repairs of *other* packets do
-    /// not inflate it. Bounds the session to 64 receivers (paper scale: 36).
-    std::uint64_t acked_mask = 0;
+    /// Set once the packet's per-packet RLA RTT has been taken (see
+    /// sample_covered), so a later re-covering ACK cannot sample it twice.
     bool rtt_sampled = false;
   };
 
   void on_ack(const net::Packet& ack, int idx);
-  void mark_covered(const net::Packet& ack, int idx);
-  void mark_one(net::SeqNum seq, SendInfo& info, std::uint64_t bit);
-  std::uint64_t active_mask() const;
+  /// Per-packet RLA RTT — time until the LAST active receiver acknowledges
+  /// the packet, the quantity eq. (5) bounds — sampled at the ACK after
+  /// which no active receiver is missing it, so head-of-line repairs of
+  /// *other* packets do not inflate it.  Only the seqs this ACK newly
+  /// covers can complete: the cumulative advance from `una_before`, plus
+  /// the SACK blocks when `newly_sacked`.
+  void sample_covered(const net::Packet& ack, net::SeqNum una_before,
+                      bool newly_sacked);
   void handle_congestion_signal(int idx);
   void advance_reach_all();
   void maybe_retransmit(net::SeqNum seq, int requester_idx, bool urgent);

@@ -29,7 +29,8 @@
 #include "rla/rla_params.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/tcp_sender.hpp"
-#include "topo/scenario.hpp"  // GatewayType
+#include "topo/flow_rows.hpp"
+#include "topo/gateway.hpp"
 
 namespace rlacast::topo {
 

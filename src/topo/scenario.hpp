@@ -27,11 +27,10 @@
 #include "tcp/tcp_receiver.hpp"
 #include "tcp/tcp_sender.hpp"
 #include "topo/flow_rows.hpp"
+#include "topo/gateway.hpp"
 #include "workload/workload.hpp"
 
 namespace rlacast::topo {
-
-enum class GatewayType { kDropTail, kRed };
 
 /// Link bandwidth (bit/s) that serves `pps` packets of `pkt_bytes` bytes.
 double pps_to_bps(double pps, std::int32_t pkt_bytes);

@@ -24,7 +24,8 @@
 #include "sim/time.hpp"
 #include "stats/fairness_monitor.hpp"
 #include "tcp/tcp_sender.hpp"
-#include "topo/scenario.hpp"  // GatewayType
+#include "topo/flow_rows.hpp"
+#include "topo/gateway.hpp"
 #include "workload/workload.hpp"
 
 namespace rlacast::sim {

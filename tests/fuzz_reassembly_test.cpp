@@ -84,7 +84,9 @@ TEST(ReassemblyFuzz, SackBlocksAlwaysValid) {
       ASSERT_TRUE(buf.has(blocks[b].lo));
       ASSERT_TRUE(buf.has(blocks[b].hi - 1));
       ASSERT_FALSE(buf.has(blocks[b].hi));
-      if (blocks[b].lo > 0) ASSERT_FALSE(buf.has(blocks[b].lo - 1));
+      if (blocks[b].lo > 0) {
+        ASSERT_FALSE(buf.has(blocks[b].lo - 1));
+      }
     }
   }
 }

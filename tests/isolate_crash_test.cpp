@@ -134,7 +134,7 @@ TEST(Sandbox, CpuRlimitKillsARunawayChild) {
   const exp::IsolateOutcome out = exp::run_isolated(
       [](const exp::RunSpec&) -> exp::Metrics {
         volatile double x = 0.0;
-        for (;;) x += 1.0;  // pure CPU burn, no sleeps
+        for (;;) x = x + 1.0;  // pure CPU burn, no sleeps
       },
       spec, limits, /*timeout_seconds=*/30.0);
   EXPECT_TRUE(out.crashed);

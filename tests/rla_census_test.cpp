@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "cc/troubled_census.hpp"
 #include "sim/random.hpp"
@@ -209,6 +212,54 @@ TEST(Census, FuzzRandomSignalSequencesKeepInvariants) {
       }
     }
   }
+}
+
+/// Checkpoint of an `n`-member census in which only `signaller` (if >= 0)
+/// has signalled.
+replay::Snapshot snapshot_with_signaller(int n, int signaller) {
+  TroubledCensus c(20.0, 0.25);
+  for (int i = 0; i < n; ++i) c.add_receiver();
+  if (signaller >= 0) c.on_signal(signaller, 5.0);
+  c.recompute(5.0);
+  if (signaller >= 0) {
+    EXPECT_TRUE(c.troubled(signaller));
+  }
+  return c.snapshot_state();
+}
+
+/// The checkpoint fields that describe individual members, i.e. all but
+/// the census-wide counts.
+std::vector<replay::Snapshot::Field> member_fields(const replay::Snapshot& s) {
+  static const std::set<std::string> kCounts = {
+      "receivers", "active",   "num_troubled",
+      "total_signals", "excluded", "quarantines"};
+  std::vector<replay::Snapshot::Field> out;
+  for (const auto& f : s.fields())
+    if (kCounts.count(f.key) == 0) out.push_back(f);
+  return out;
+}
+
+class CensusCheckpoint : public ::testing::TestWithParam<int> {};
+
+// A troubled flag above member 63 must reach the checkpoint itself, not only
+// through the counts: replay compares checkpoints at every n it journals.
+TEST_P(CensusCheckpoint, SeesTroubledFlagOfLastMember) {
+  const int n = GetParam();
+  const replay::Snapshot calm = snapshot_with_signaller(n, -1);
+  const replay::Snapshot last = snapshot_with_signaller(n, n - 1);
+  EXPECT_FALSE(member_fields(calm).empty());
+  EXPECT_NE(member_fields(calm), member_fields(last));
+}
+
+INSTANTIATE_TEST_SUITE_P(AboveSixtyFour, CensusCheckpoint,
+                         ::testing::Values(65, 1000));
+
+TEST(CensusCheckpoint, TellsApartWhichHighMemberIsTroubled) {
+  // Same counts, different troubled member: only the column tells.
+  const replay::Snapshot a = snapshot_with_signaller(1000, 64);
+  const replay::Snapshot b = snapshot_with_signaller(1000, 999);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(a, snapshot_with_signaller(1000, 64));  // deterministic
 }
 
 }  // namespace

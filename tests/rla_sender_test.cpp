@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "rla/rla_receiver.hpp"
 #include "rla/rla_sender.hpp"
 #include "sim/simulator.hpp"
+#include "stats/summary.hpp"
 #include "tcp/reassembly.hpp"
 
 namespace rlacast::rla {
@@ -369,6 +371,206 @@ TEST(RlaSender, RttSampleMatchesPath) {
   // Star RTT = 40 ms; reach-all RTT is the max over branches, equal here.
   EXPECT_NEAR(star.snd->measurement().avg_rtt(), 0.04, 0.01);
   EXPECT_NEAR(star.snd->srtt_of(0), 0.04, 0.01);
+}
+
+/// Scripted-ACK harness for the per-packet RLA RTT.  The sender multicasts
+/// into a group with no members and the test injects every ACK through
+/// on_receive, choosing which receiver acknowledges what, in which order and
+/// when.  It records each packet's send time and, per receiver, the time it
+/// first covered each packet, so a brute-force reference can recompute
+/// avg_rtt: for each clean packet, the last owing receiver's first covering
+/// ACK minus the send time.
+struct AckScript {
+  static constexpr sim::SimTime kAckGap = 1e-5;  // between injected ACKs
+
+  sim::Simulator sim;
+  net::Network net{sim};
+  net::NodeId s = net.add_node();
+  std::unique_ptr<RlaSender> snd;
+  std::vector<sim::SimTime> sent_at;             // by seq
+  std::vector<net::SeqNum> owed_from;            // by receiver
+  std::vector<std::vector<sim::SimTime>> cover;  // [rcvr][seq]; <0 = not yet
+  std::uint32_t draw = 12345;                    // order_with_last's LCG
+
+  explicit AckScript(int n) {
+    RlaParams params;
+    params.max_cwnd = 8.0;
+    snd = std::make_unique<RlaSender>(net, s, 1, /*group=*/1, /*flow=*/1,
+                                      params);
+    for (int i = 0; i < n; ++i) join();
+    snd->start_at(0.0);
+    snd->measurement().begin_measurement(0.0);
+    sim.run_until(kAckGap);
+    note_sends(0.0);
+  }
+
+  /// Stamps the packets sent since the last call with send time `t`.
+  void note_sends(sim::SimTime t) {
+    while (sent_at.size() < static_cast<std::size_t>(snd->next_seq()))
+      sent_at.push_back(t);
+  }
+
+  int join() {
+    const auto port = static_cast<net::PortId>(1000 + cover.size());
+    const int r = snd->add_receiver(s, port);
+    owed_from.push_back(snd->next_seq());
+    cover.emplace_back();
+    return r;
+  }
+
+  void covered(int r, net::SeqNum lo, net::SeqNum hi) {
+    auto& c = cover[static_cast<std::size_t>(r)];
+    if (c.size() < static_cast<std::size_t>(hi))
+      c.resize(static_cast<std::size_t>(hi), -1.0);
+    for (net::SeqNum q = lo; q < hi; ++q)
+      if (c[static_cast<std::size_t>(q)] < 0.0)
+        c[static_cast<std::size_t>(q)] = sim.now();
+  }
+
+  /// Receiver r acknowledges cumulatively up to `cum` (and SACKs [lo, hi)
+  /// when lo < hi), triggered by packet `trigger`.
+  void ack(int r, net::SeqNum cum, net::SeqNum trigger, net::SeqNum lo = 0,
+           net::SeqNum hi = 0) {
+    sim.run_until(sim.now() + kAckGap);
+    net::Packet a;
+    a.type = net::PacketType::kAck;
+    a.src = s;
+    a.dst = s;
+    a.src_port = static_cast<net::PortId>(1000 + r);
+    a.dst_port = 1;
+    a.size_bytes = net::kAckPacketBytes;
+    a.receiver_id = r;
+    a.seq = trigger;
+    a.ack = cum;
+    a.ts_echo = sent_at[static_cast<std::size_t>(trigger)];
+    if (lo < hi) {
+      a.sack[0] = {lo, hi};
+      a.n_sack = 1;
+    }
+    snd->on_receive(a);
+    covered(r, owed_from[static_cast<std::size_t>(r)], cum);
+    covered(r, lo, hi);
+    note_sends(sim.now());
+  }
+
+  /// Every receiver of `order` acknowledges all of [from, to) in turn: one
+  /// cumulative ACK per packet, except that receivers with r % 5 == 1 send
+  /// one ACK for the whole span, and those with r % 5 == 2 (and `last` on
+  /// odd spans) first SACK the span's last packet out of order.
+  void acknowledge(net::SeqNum from, net::SeqNum to,
+                   const std::vector<int>& order) {
+    for (const int r : order) {
+      if (to - from >= 2 && (r % 5 == 2 || (r == order.back() && from % 2))) {
+        ack(r, from, to - 1, to - 1, to);
+        ack(r, to, to - 2);
+      } else if (r % 5 == 1) {
+        ack(r, to, to - 1);
+      } else {
+        for (net::SeqNum q = from; q < to; ++q) ack(r, q + 1, q);
+      }
+    }
+  }
+
+  /// Receivers 0..n-1 minus `last`, in a scrambled order, then `last`.
+  std::vector<int> order_with_last(int n, int last) {
+    std::vector<int> order;
+    for (int r = 0; r < n; ++r)
+      if (r != last) order.push_back(r);
+    for (std::size_t k = order.size(); k > 1; --k) {
+      draw = draw * 1664525u + 1013904223u;
+      std::swap(order[k - 1], order[(draw >> 8) % k]);
+    }
+    order.push_back(last);
+    return order;
+  }
+
+  /// Acknowledges everything sent so far; returns the new frontier.
+  net::SeqNum round(net::SeqNum from, const std::vector<int>& order) {
+    const net::SeqNum to = snd->next_seq();
+    acknowledge(from, to, order);
+    return to;
+  }
+
+  /// Brute-force avg_rtt over every packet all its owing receivers covered.
+  stats::Summary reference() const {
+    stats::Summary ref;
+    for (std::size_t q = 0; q < sent_at.size(); ++q) {
+      sim::SimTime last = -1.0;
+      bool complete = true;
+      for (std::size_t r = 0; r < cover.size(); ++r) {
+        if (static_cast<std::size_t>(owed_from[r]) > q) continue;
+        if (q >= cover[r].size() || cover[r][q] < 0.0) {
+          complete = false;
+          break;
+        }
+        last = std::max(last, cover[r][q]);
+      }
+      if (complete && last >= 0.0) ref.add(last - sent_at[q]);
+    }
+    return ref;
+  }
+
+  void expect_matches_reference() const {
+    EXPECT_EQ(snd->multicast_rexmits() + snd->unicast_rexmits(), 0u);
+    EXPECT_EQ(snd->measurement().timeouts(), 0u);
+    const stats::Summary ref = reference();
+    const stats::Summary& got = snd->measurement().rtt_summary();
+    ASSERT_GT(ref.count(), 0u);
+    EXPECT_EQ(got.count(), ref.count());
+    EXPECT_NEAR(got.mean(), ref.mean(), 1e-12);
+  }
+};
+
+class RlaRttCoverage : public ::testing::TestWithParam<int> {};
+
+// The per-packet RTT waits for EVERY active receiver: the highest index,
+// acknowledging last, is the one that completes each packet.
+TEST_P(RlaRttCoverage, LastReceiverAboveSixtyFourCompletesEachPacket) {
+  const int n = GetParam();
+  AckScript sc(n);
+  net::SeqNum from = 0;
+  while (from < 60) from = sc.round(from, sc.order_with_last(n, n - 1));
+  EXPECT_EQ(sc.snd->max_reach_all(), from);
+  sc.expect_matches_reference();
+}
+
+INSTANTIATE_TEST_SUITE_P(Members, RlaRttCoverage,
+                         ::testing::Values(65, 1000));
+
+// A receiver that joins mid-run is not owed the packets sent before it
+// joined, so it does not hold up their samples.
+TEST(RlaRttCoverage, LateJoinerDoesNotDelayEarlierPackets) {
+  AckScript sc(3);
+  net::SeqNum from = 0;
+  while (from < 10) from = sc.round(from, sc.order_with_last(3, 2));
+  const net::SeqNum to = sc.snd->next_seq();
+  sc.acknowledge(from, to, {0, 1});
+  const std::size_t before = sc.snd->measurement().rtt_summary().count();
+  const int late = sc.join();
+  sc.acknowledge(from, to, {2});
+  EXPECT_EQ(sc.snd->measurement().rtt_summary().count(),
+            before + static_cast<std::size_t>(to - from));
+  from = to;
+  while (from < 30) from = sc.round(from, sc.order_with_last(4, late));
+  sc.expect_matches_reference();
+}
+
+// A packet whose last missing receiver leaves is not sampled: its wait
+// measured the departure, not the path.
+TEST(RlaRttCoverage, DepartureOfLastMissingReceiverTakesNoSample) {
+  AckScript sc(3);
+  net::SeqNum from = 0;
+  while (from < 10) from = sc.round(from, sc.order_with_last(3, 2));
+  const net::SeqNum to = sc.snd->next_seq();
+  sc.acknowledge(from, to, {0, 1});
+  const std::size_t before = sc.snd->measurement().rtt_summary().count();
+  sc.snd->remove_receiver(2);
+  sc.note_sends(sc.sim.now());
+  EXPECT_EQ(sc.snd->max_reach_all(), to);
+  EXPECT_EQ(sc.snd->measurement().rtt_summary().count(), before);
+  from = sc.snd->next_seq();
+  sc.acknowledge(to, from, {0, 1});
+  EXPECT_GT(sc.snd->measurement().rtt_summary().count(), before);
 }
 
 }  // namespace
